@@ -39,7 +39,13 @@ CSV_FIELDS = (
     "dead_end",
 )
 
-_EXACT_FOR = {Algorithm.A_IC: Algorithm.E_IC, Algorithm.A_DC: Algorithm.E_DC}
+# Where each greedy row's ratio takes its optimum from, in order of
+# preference: the coverage maximum for a-ic and the enumerator's theta
+# minimum (its primary objective) for a-dc.
+_OPTIMUM_SOURCES = {
+    Algorithm.A_IC.value: (Algorithm.E_IC.value, Algorithm.BNB_IC.value),
+    Algorithm.A_DC.value: (Algorithm.E_DC.value,),
+}
 _IC_ALGORITHMS = {Algorithm.E_IC, Algorithm.BNB_IC, Algorithm.A_IC}
 
 
@@ -153,8 +159,14 @@ def _coverage_count(report: SolveReport, instance: Instance) -> int:
     return cov_dc(tags, instance)
 
 
-def _solve_point(args) -> tuple:
+def _solve_point(args) -> BenchRow:
     algorithm, instance, k, alpha, beta, rep, exact_cap = args
+    row = BenchRow(
+        algorithm=algorithm.value, k=k, alpha=alpha, beta=beta,
+        instance_id=instance.item_id, rep=rep, objective_value=0,
+        coverage_proportion=0.0, rel_total=0.0, wall_time=0.0,
+        approx_ratio=None, dead_end=True,
+    )
     denom = cov_ic(instance.tags)  # values appearing in any rule
     try:
         params = make_params(k, alpha, beta, instance)
@@ -164,19 +176,26 @@ def _solve_point(args) -> tuple:
         else:
             report = solver(instance, params, exact_cap=exact_cap)
     except TagSelectError:
-        return (
-            algorithm.value, k, alpha, beta, instance.item_id, rep,
-            0, 0.0, 0.0, 0.0, True,
-        )
-    covered = _coverage_count(report, instance)
-    return (
-        algorithm.value, k, alpha, beta, instance.item_id, rep,
-        report.objective_value,
-        covered / denom if denom else 0.0,
-        report.rel_total,
-        report.wall_time,
-        not report.selection.feasible,
-    )
+        return row
+    row.objective_value = report.objective_value
+    row.coverage_proportion = _coverage_count(report, instance) / denom if denom else 0.0
+    row.rel_total = report.rel_total
+    row.wall_time = report.wall_time
+    row.dead_end = not report.selection.feasible
+    return row
+
+
+def _ratio(row: BenchRow, opt: int) -> float | None:
+    """Greedy value over the optimum, oriented so that 1 is best: coverage
+    is maximized, theta minimized.  A zero denominator gives 1 when both are
+    zero and None (flagged, not a ratio) otherwise."""
+    if row.algorithm == Algorithm.A_IC.value:
+        num, den = opt, row.objective_value
+    else:
+        num, den = row.objective_value, opt
+    if den > 0:
+        return num / den
+    return 1.0 if num == 0 else None
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
@@ -199,51 +218,22 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_solve_point, tasks, chunksize=16))
+            rows = list(pool.map(_solve_point, tasks, chunksize=16))
     else:
-        raw = [_solve_point(t) for t in tasks]
+        rows = [_solve_point(t) for t in tasks]
 
-    # Index exact objective values for ratio computation: theta for DC
-    # (primary objective of the enumerator), coverage for IC.
-    exact_obj: dict[tuple, int] = {}
-    for r in raw:
-        alg = r[0]
-        key = (r[1], r[2], r[3], r[4])  # (k, alpha, beta, instance_id)
-        if alg == Algorithm.E_IC.value and not r[10]:
-            exact_obj[(Algorithm.E_IC.value, *key)] = r[6]
-        elif alg == Algorithm.BNB_IC.value and not r[10]:
-            exact_obj[(Algorithm.BNB_IC.value, *key)] = r[6]
-        elif alg == Algorithm.E_DC.value and not r[10]:
-            exact_obj[(Algorithm.E_DC.value, *key)] = r[6]
+    def point(row: BenchRow) -> tuple:
+        return (row.k, row.alpha, row.beta, row.instance_id)
 
-    rows = []
-    for r in raw:
-        alg, k, alpha, beta, inst_id, rep, obj, covp, rel, wall, dead = r
-        ratio = None
-        key = (k, alpha, beta, inst_id)
-        if alg == Algorithm.A_IC.value and not dead:
-            opt = exact_obj.get((Algorithm.E_IC.value, *key))
-            if opt is None:
-                opt = exact_obj.get((Algorithm.BNB_IC.value, *key))
-            if opt is not None and obj > 0:
-                ratio = opt / obj
-            elif opt == 0 and obj == 0:
-                ratio = 1.0
-        elif alg == Algorithm.A_DC.value and not dead:
-            opt = exact_obj.get((Algorithm.E_DC.value, *key))
+    objective = {(r.algorithm, point(r)): r.objective_value for r in rows if not r.dead_end}
+    for row in rows:
+        if row.dead_end or row.algorithm not in _OPTIMUM_SOURCES:
+            continue
+        for source in _OPTIMUM_SOURCES[row.algorithm]:
+            opt = objective.get((source, point(row)))
             if opt is not None:
-                if opt > 0:
-                    ratio = obj / opt
-                elif obj == 0:
-                    ratio = 1.0
-                # opt == 0 < obj stays None: flagged, not a ratio
-        rows.append(
-            BenchRow(
-                algorithm=alg, k=k, alpha=alpha, beta=beta, instance_id=inst_id,
-                rep=rep, objective_value=obj, coverage_proportion=covp,
-                rel_total=rel, wall_time=wall, approx_ratio=ratio, dead_end=dead,
-            )
-        )
+                row.approx_ratio = _ratio(row, opt)
+                break
     rows.sort(key=BenchRow.sort_key)
     return rows
 

@@ -11,7 +11,7 @@ from . import bench as bench_mod
 from . import datagen, lp_export, rules_io
 from .errors import TagSelectError
 from .model import make_params
-from .solvers import SOLVERS, Algorithm
+from .solvers import DEFAULT_EXACT_CAP, SOLVERS, Algorithm
 
 _ALGO_CHOICES = [a.value for a in Algorithm]
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--algorithm", choices=_ALGO_CHOICES, default="a-ic")
-    p.add_argument("--exact-cap", type=int, default=30)
+    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a sweep and write a CSV")
@@ -180,13 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code: 0 on success, 1 on a
+    tagselect error or a greedy dead end, 2 on an invalid argument value or
+    a file that cannot be read.  Errors print one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TagSelectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,17 +252,23 @@ def make_params(
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     k1, k2 = split_budget(k, alpha)
-    pos_deficit = max(0, k1 - instance.n_pos)
-    neg_deficit = max(0, k2 - instance.n_neg)
+    check_quotas(k1, k2, instance.n_pos, instance.n_neg)
+    return Params(k=k, alpha=float(alpha), beta=beta, k1=k1, k2=k2)
+
+
+def check_quotas(k1: int, k2: int, n_pos: int, n_neg: int) -> None:
+    """Raise :class:`InfeasiblePolarity` unless n_pos positive and n_neg
+    negative tags can fill the quotas (k1, k2)."""
+    pos_deficit = max(0, k1 - n_pos)
+    neg_deficit = max(0, k2 - n_neg)
     if pos_deficit or neg_deficit:
         raise InfeasiblePolarity(
             f"quota (k1={k1}, k2={k2}) exceeds available tags "
-            f"(n_pos={instance.n_pos}, n_neg={instance.n_neg}); "
+            f"(n_pos={n_pos}, n_neg={n_neg}); "
             f"short {pos_deficit} positive and {neg_deficit} negative",
             pos_deficit=pos_deficit,
             neg_deficit=neg_deficit,
         )
-    return Params(k=k, alpha=float(alpha), beta=beta, k1=k1, k2=k2)
 
 
 def vectorize(tag: Tag, m: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InfeasiblePolarity
-from .model import Instance, Tag
+from .model import Instance, Tag, check_quotas
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,7 @@ def rel_total(selection: Iterable[Tag]) -> float:
 def rel_max(benchmark: RelBenchmark, k1: int, k2: int) -> float:
     """Best relevance sum of any selection with exactly k1 positive and k2
     negative tags: the top k1 positives plus the top k2 negatives."""
-    if k1 > len(benchmark.sorted_pos) or k2 > len(benchmark.sorted_neg):
-        raise InfeasiblePolarity(
-            f"quota (k1={k1}, k2={k2}) exceeds available tags "
-            f"({len(benchmark.sorted_pos)} positive, {len(benchmark.sorted_neg)} negative)",
-            pos_deficit=max(0, k1 - len(benchmark.sorted_pos)),
-            neg_deficit=max(0, k2 - len(benchmark.sorted_neg)),
-        )
+    check_quotas(k1, k2, len(benchmark.sorted_pos), len(benchmark.sorted_neg))
     return benchmark.prefix_pos[k1] + benchmark.prefix_neg[k2]
 
 

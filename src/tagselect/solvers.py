@@ -17,12 +17,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Sequence
+from itertools import accumulate, combinations
+from typing import Callable, Sequence
 
 from .coverage import build_dc_graph, cov_dc, cov_ic, theta_dc
-from .errors import Infeasible, InfeasiblePolarity, InstanceTooLarge
-from .model import EPS, Instance, Params, Selection, Tag
+from .errors import Infeasible, InstanceTooLarge
+from .model import EPS, Instance, Params, Selection, Tag, check_quotas
 from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
 
 DEFAULT_EXACT_CAP = 30
@@ -51,22 +51,17 @@ class SolveReport:
     covdc_value: int | None = None
 
 
-def _check_quotas(instance: Instance, params: Params) -> None:
-    if params.k1 > instance.n_pos or params.k2 > instance.n_neg:
-        raise InfeasiblePolarity(
-            f"quota (k1={params.k1}, k2={params.k2}) exceeds available tags "
-            f"(n_pos={instance.n_pos}, n_neg={instance.n_neg})",
-            pos_deficit=max(0, params.k1 - instance.n_pos),
-            neg_deficit=max(0, params.k2 - instance.n_neg),
-        )
-
-
-def _check_cap(instance: Instance, exact_cap: int) -> None:
+def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
+    """Shared set-up of the exact routes: refuse an unfillable quota, then an
+    oversized instance, then return the relevance every answer must reach."""
+    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     if instance.n > exact_cap:
         raise InstanceTooLarge(
             f"exhaustive solving refused for n={instance.n} tags "
             f"(cap {exact_cap}); raise exact_cap explicitly if you mean it"
         )
+    bench = RelBenchmark.from_instance(instance)
+    return params.beta * rel_max(bench, params.k1, params.k2) - EPS
 
 
 def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Selection:
@@ -91,10 +86,7 @@ def exact_ic(
     return the one maximizing independent coverage under the relevance bound.
     """
     t0 = time.perf_counter()
-    _check_quotas(instance, params)
-    _check_cap(instance, exact_cap)
-    bench = RelBenchmark.from_instance(instance)
-    need = params.beta * rel_max(bench, params.k1, params.k2) - EPS
+    need = _exact_setup(instance, params, exact_cap)
 
     best: tuple[int, float, tuple[Tag, ...]] | None = None
     nodes = 0
@@ -140,7 +132,7 @@ def greedy_ic(instance: Instance, params: Params) -> SolveReport:
     is returned flagged infeasible instead of relaxing the filter.
     """
     t0 = time.perf_counter()
-    _check_quotas(instance, params)
+    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     bench = RelBenchmark.from_instance(instance)
 
     chosen: list[Tag] = []
@@ -193,105 +185,6 @@ def greedy_ic(instance: Instance, params: Params) -> SolveReport:
     )
 
 
-def bnb_ic(
-    instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
-) -> SolveReport:
-    """Depth-first 0/1 search over tag inclusion with the integer-program
-    semantics: a value counts once some selected tag covers it.
-
-    Pruning: sentiment-count feasibility, an optimistic relevance bound from
-    per-suffix sorted relevance prefix sums, and an optimistic coverage bound
-    (current union extended by everything remaining).  The objective value
-    always matches the enumerator's; the selection may differ on ties.
-    """
-    t0 = time.perf_counter()
-    _check_quotas(instance, params)
-    _check_cap(instance, exact_cap)
-    bench = RelBenchmark.from_instance(instance)
-    need = params.beta * rel_max(bench, params.k1, params.k2) - EPS
-
-    tags = instance.tags
-    n = len(tags)
-    suffix_union = [0] * (n + 1)
-    suffix_pos = [0] * (n + 1)
-    suffix_neg = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | tags[i].mask
-        suffix_pos[i] = suffix_pos[i + 1] + (1 if tags[i].is_positive else 0)
-        suffix_neg[i] = suffix_neg[i + 1] + (0 if tags[i].is_positive else 1)
-    # suffix_top[side][i][q]: sum of the q largest relevances among tags[i:]
-    # of that side; used for the optimistic relevance bound.
-    suffix_top: dict[bool, list[tuple[float, ...]]] = {}
-    for side in (True, False):
-        rows = []
-        for i in range(n + 1):
-            rels = sorted(
-                (t.relevance for t in tags[i:] if t.is_positive is side), reverse=True
-            )
-            acc = [0.0]
-            for r in rels:
-                acc.append(acc[-1] + r)
-            rows.append(tuple(acc))
-        suffix_top[side] = rows
-
-    best: dict = {"cov": -1, "rel": -1.0, "tags": None}
-    nodes = 0
-
-    def dfs(i: int, pos_cnt: int, neg_cnt: int, mask: int, rel: float, stack: list[Tag]):
-        nonlocal nodes
-        nodes += 1
-        if pos_cnt == params.k1 and neg_cnt == params.k2:
-            if rel < need:
-                return
-            cov = mask.bit_count()
-            if cov > best["cov"] or (cov == best["cov"] and rel > best["rel"]):
-                best.update(cov=cov, rel=rel, tags=tuple(stack))
-            return
-        if i == n:
-            return
-        need_pos = params.k1 - pos_cnt
-        need_neg = params.k2 - neg_cnt
-        if suffix_pos[i] < need_pos or suffix_neg[i] < need_neg:
-            return
-        top_pos = suffix_top[True][i]
-        top_neg = suffix_top[False][i]
-        if rel + top_pos[need_pos] + top_neg[need_neg] < need:
-            return
-        if (mask | suffix_union[i]).bit_count() <= best["cov"]:
-            return
-        t = tags[i]
-        open_quota = (t.is_positive and pos_cnt < params.k1) or (
-            not t.is_positive and neg_cnt < params.k2
-        )
-        if open_quota:
-            stack.append(t)
-            dfs(
-                i + 1,
-                pos_cnt + (1 if t.is_positive else 0),
-                neg_cnt + (0 if t.is_positive else 1),
-                mask | t.mask,
-                rel + t.relevance,
-                stack,
-            )
-            stack.pop()
-        dfs(i + 1, pos_cnt, neg_cnt, mask, rel, stack)
-
-    dfs(0, 0, 0, 0, 0.0, [])
-    if best["tags"] is None:
-        raise Infeasible(
-            f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
-        )
-    chosen = best["tags"]
-    return SolveReport(
-        algorithm=Algorithm.BNB_IC,
-        selection=_selection(chosen, "cov_ic", best["cov"], True),
-        objective_value=best["cov"],
-        rel_total=rel_total(chosen),
-        wall_time=time.perf_counter() - t0,
-        nodes_explored=nodes,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dependent coverage
 # ---------------------------------------------------------------------------
@@ -309,10 +202,7 @@ def exact_dc(
     assume that and evaluates both objectives independently.
     """
     t0 = time.perf_counter()
-    _check_quotas(instance, params)
-    _check_cap(instance, exact_cap)
-    bench = RelBenchmark.from_instance(instance)
-    need = params.beta * rel_max(bench, params.k1, params.k2) - EPS
+    need = _exact_setup(instance, params, exact_cap)
     graph = build_dc_graph(instance)
 
     best_theta: tuple[int, float, tuple[Tag, ...]] | None = None
@@ -358,9 +248,7 @@ def exact_dc(
     )
 
 
-def greedy_dc(
-    instance: Instance, params: Params, beam_width: int | None = None
-) -> SolveReport:
+def greedy_dc(instance: Instance, params: Params) -> SolveReport:
     """Greedy approximation on the labeled graph.
 
     Phase 1 adds whole cross pairs (one positive, one negative) minimizing
@@ -370,23 +258,11 @@ def greedy_dc(
     stays within factor 2 on balanced quotas (k1 = k2); the one-sided fill
     phase can exceed that on imbalanced quotas, since theta's intra-edge
     subtraction is invisible to the myopic pair step.
-
-    ``beam_width`` optionally restricts each side's candidates to its top
-    relevances.  That bounds the O(n+ * n-) pair scan for very large
-    vocabularies but deviates from the all-pairs rule, so it is off by
-    default.
     """
     t0 = time.perf_counter()
-    _check_quotas(instance, params)
+    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     bench = RelBenchmark.from_instance(instance)
     graph = build_dc_graph(instance)
-
-    def candidates(pool: Sequence[Tag], taken: set[int]) -> list[Tag]:
-        free = [t for t in pool if t.id not in taken]
-        if beam_width is not None and len(free) > beam_width:
-            free = sorted(free, key=lambda t: (-t.relevance, t.id))[:beam_width]
-            free.sort(key=lambda t: t.id)
-        return free
 
     chosen: list[Tag] = []
     taken: set[int] = set()
@@ -408,9 +284,11 @@ def greedy_dc(
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
         best_key = None
         best_pair = None
-        for tx in candidates(instance.positives(), taken):
-            for ty in candidates(instance.negatives(), taken):
-                if rel_so_far + tx.relevance + ty.relevance < threshold:
+        for tx in instance.positives():
+            if tx.id in taken:
+                continue
+            for ty in instance.negatives():
+                if ty.id in taken or rel_so_far + tx.relevance + ty.relevance < threshold:
                     continue
                 th = theta_dc(graph, chosen + [tx, ty])
                 key = (th, -(tx.relevance + ty.relevance), (tx.id, ty.id))
@@ -432,8 +310,8 @@ def greedy_dc(
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
         best_key = None
         best_tag = None
-        for t in candidates(pool, taken):
-            if rel_so_far + t.relevance < threshold:
+        for t in pool:
+            if t.id in taken or rel_so_far + t.relevance < threshold:
                 continue
             th = theta_dc(graph, chosen + [t])
             key = (th, -t.relevance, t.id)
@@ -460,136 +338,139 @@ def greedy_dc(
     )
 
 
-def bnb_dc(
+# ---------------------------------------------------------------------------
+# Branch-and-bound
+# ---------------------------------------------------------------------------
+
+
+def _suffix_top(tags: Sequence[Tag], side: bool) -> list[tuple[float, ...]]:
+    """``rows[i][q]``: sum of the q largest relevances among ``tags[i:]`` of
+    that side; used for the optimistic relevance bound."""
+    rows = [(0.0,)] * (len(tags) + 1)
+    rels: list[float] = []
+    for i in range(len(tags) - 1, -1, -1):
+        if tags[i].is_positive is side:
+            rels.append(tags[i].relevance)
+            rels.sort(reverse=True)
+            rows[i] = tuple(accumulate(rels, initial=0.0))
+        else:
+            rows[i] = rows[i + 1]
+    return rows
+
+
+def _bnb(
     instance: Instance,
     params: Params,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-    as_printed: bool = False,
+    exact_cap: int,
+    algorithm: Algorithm,
+    kind: str,
+    value: Callable[[int, int], int],
 ) -> SolveReport:
-    """Depth-first search maximizing dependent coverage with the two-sided
-    linearization: a value counts when both its positive side and its
-    negative side are covered by the selection, the two synthetic one-sided
-    stand-ins being always selected.  The optimum equals the enumerator's
-    dependent-coverage optimum.
+    """Depth-first 0/1 search over tag inclusion maximizing
+    ``value(pos_mask, neg_mask)``, the objective of the selected positives'
+    and negatives' coverage unions.  ``value`` must be monotone in both masks.
 
-    ``as_printed=True`` switches to the uncorrected single-sum counting
-    (a value counts when at least two selected tags cover it in the
-    augmented graph, regardless of sentiment).  That variant can overcount
-    via two same-polarity tags and exists only for study.
+    Pruning: sentiment-count feasibility, an optimistic relevance bound from
+    per-suffix sorted relevance prefix sums, and an optimistic coverage bound
+    (each side's union extended by everything remaining on that side).
     """
     t0 = time.perf_counter()
-    _check_quotas(instance, params)
-    _check_cap(instance, exact_cap)
-    bench = RelBenchmark.from_instance(instance)
-    need = params.beta * rel_max(bench, params.k1, params.k2) - EPS
+    need = _exact_setup(instance, params, exact_cap)
+    k1, k2 = params.k1, params.k2
 
-    only_pos = instance.pos_cover_mask & ~instance.neg_cover_mask
-    only_neg = instance.neg_cover_mask & ~instance.pos_cover_mask
     tags = instance.tags
     n = len(tags)
-    aug = [t.mask | (only_neg if t.is_positive else only_pos) for t in tags]
-
     suffix_pos_union = [0] * (n + 1)
     suffix_neg_union = [0] * (n + 1)
     suffix_pos = [0] * (n + 1)
     suffix_neg = [0] * (n + 1)
-    suffix_aug_union = [0] * (n + 1)
-    suffix_aug_twice = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         is_pos = tags[i].is_positive
         suffix_pos_union[i] = suffix_pos_union[i + 1] | (tags[i].mask if is_pos else 0)
         suffix_neg_union[i] = suffix_neg_union[i + 1] | (0 if is_pos else tags[i].mask)
         suffix_pos[i] = suffix_pos[i + 1] + (1 if is_pos else 0)
         suffix_neg[i] = suffix_neg[i + 1] + (0 if is_pos else 1)
-        suffix_aug_twice[i] = suffix_aug_twice[i + 1] | (aug[i] & suffix_aug_union[i + 1])
-        suffix_aug_union[i] = suffix_aug_union[i + 1] | aug[i]
-    suffix_top: dict[bool, list[tuple[float, ...]]] = {}
-    for side in (True, False):
-        rows = []
-        for i in range(n + 1):
-            rels = sorted(
-                (t.relevance for t in tags[i:] if t.is_positive is side), reverse=True
-            )
-            acc = [0.0]
-            for r in rels:
-                acc.append(acc[-1] + r)
-            rows.append(tuple(acc))
-        suffix_top[side] = rows
-
-    def value_two_sided(pos_mask: int, neg_mask: int) -> int:
-        return ((pos_mask | only_neg) & (neg_mask | only_pos)).bit_count()
+    top_pos = _suffix_top(tags, True)
+    top_neg = _suffix_top(tags, False)
 
     best: dict = {"val": -1, "rel": -1.0, "tags": None}
     nodes = 0
+    stack: list[Tag] = []
 
-    def dfs(i, pos_cnt, neg_cnt, pos_mask, neg_mask, once, twice, rel, stack):
+    def dfs(i, pos_cnt, neg_cnt, pos_mask, neg_mask, rel):
         nonlocal nodes
         nodes += 1
-        if pos_cnt == params.k1 and neg_cnt == params.k2:
+        if pos_cnt == k1 and neg_cnt == k2:
             if rel < need:
                 return
-            val = (
-                twice.bit_count()
-                if as_printed
-                else value_two_sided(pos_mask, neg_mask)
-            )
+            val = value(pos_mask, neg_mask)
             if val > best["val"] or (val == best["val"] and rel > best["rel"]):
                 best.update(val=val, rel=rel, tags=tuple(stack))
             return
         if i == n:
             return
-        need_pos = params.k1 - pos_cnt
-        need_neg = params.k2 - neg_cnt
+        need_pos = k1 - pos_cnt
+        need_neg = k2 - neg_cnt
         if suffix_pos[i] < need_pos or suffix_neg[i] < need_neg:
             return
-        if rel + suffix_top[True][i][need_pos] + suffix_top[False][i][need_neg] < need:
+        if rel + top_pos[i][need_pos] + top_neg[i][need_neg] < need:
             return
-        if as_printed:
-            bound = (
-                twice | (once & suffix_aug_union[i]) | suffix_aug_twice[i]
-            ).bit_count()
-        else:
-            bound = value_two_sided(
-                pos_mask | suffix_pos_union[i], neg_mask | suffix_neg_union[i]
-            )
-        if bound <= best["val"]:
+        if value(pos_mask | suffix_pos_union[i], neg_mask | suffix_neg_union[i]) <= best["val"]:
             return
         t = tags[i]
-        open_quota = (t.is_positive and pos_cnt < params.k1) or (
-            not t.is_positive and neg_cnt < params.k2
-        )
-        if open_quota:
+        if t.is_positive and pos_cnt < k1:
             stack.append(t)
-            dfs(
-                i + 1,
-                pos_cnt + (1 if t.is_positive else 0),
-                neg_cnt + (0 if t.is_positive else 1),
-                pos_mask | (t.mask if t.is_positive else 0),
-                neg_mask | (0 if t.is_positive else t.mask),
-                once | aug[i],
-                twice | (once & aug[i]),
-                rel + t.relevance,
-                stack,
-            )
+            dfs(i + 1, pos_cnt + 1, neg_cnt, pos_mask | t.mask, neg_mask, rel + t.relevance)
             stack.pop()
-        dfs(i + 1, pos_cnt, neg_cnt, pos_mask, neg_mask, once, twice, rel, stack)
+        elif not t.is_positive and neg_cnt < k2:
+            stack.append(t)
+            dfs(i + 1, pos_cnt, neg_cnt + 1, pos_mask, neg_mask | t.mask, rel + t.relevance)
+            stack.pop()
+        dfs(i + 1, pos_cnt, neg_cnt, pos_mask, neg_mask, rel)
 
-    # The two stand-ins are always selected: they seed the per-value
-    # coverage counts for the as-printed variant.
-    init_once = only_pos | only_neg
-    dfs(0, 0, 0, 0, 0, init_once, 0, 0.0, [])
+    dfs(0, 0, 0, 0, 0, 0.0)
     if best["tags"] is None:
         raise Infeasible(
             f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
         )
     chosen = best["tags"]
     return SolveReport(
-        algorithm=Algorithm.BNB_DC,
-        selection=_selection(chosen, "cov_dc", best["val"], True),
+        algorithm=algorithm,
+        selection=_selection(chosen, kind, best["val"], True),
         objective_value=best["val"],
         rel_total=rel_total(chosen),
         wall_time=time.perf_counter() - t0,
         nodes_explored=nodes,
+    )
+
+
+def bnb_ic(
+    instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
+) -> SolveReport:
+    """Branch-and-bound with the integer-program semantics: a value counts
+    once some selected tag covers it.  The objective value always matches
+    the enumerator's; the selection may differ on ties.
+    """
+    return _bnb(
+        instance, params, exact_cap, Algorithm.BNB_IC, "cov_ic",
+        lambda pos_mask, neg_mask: (pos_mask | neg_mask).bit_count(),
+    )
+
+
+def bnb_dc(
+    instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
+) -> SolveReport:
+    """Branch-and-bound maximizing dependent coverage with the two-sided
+    linearization: a value counts when both its positive side and its
+    negative side are covered by the selection, the two synthetic one-sided
+    stand-ins being always selected.  The value equals ``cov_dc``, so the
+    optimum equals the enumerator's dependent-coverage optimum.
+    """
+    only_pos = instance.pos_cover_mask & ~instance.neg_cover_mask
+    only_neg = instance.neg_cover_mask & ~instance.pos_cover_mask
+    return _bnb(
+        instance, params, exact_cap, Algorithm.BNB_DC, "cov_dc",
+        lambda pos_mask, neg_mask: ((pos_mask | only_neg) & (neg_mask | only_pos)).bit_count(),
     )
 
 

@@ -208,7 +208,7 @@ def test_criterion_3_approximation_bounds(suite500):
         assert max(ic_ratios) <= 2.0
         # Known red: the pair-then-fill greedy exceeds factor 2 on a small
         # share of imbalanced-quota cases (min(k1, k2) = 1); balanced quotas
-        # never violate.  See the decisions ledger for the analysis.
+        # never violate.  See the README's Known red section.
         assert dc_violations == 0, (
             f"{dc_violations}/500 theta ratios exceed 2.0, all on imbalanced "
             f"quotas where the one-sided fill phase runs (max ratio "

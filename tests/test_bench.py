@@ -162,6 +162,32 @@ class TestCli:
         assert rc != 0
         assert "line 2" in err
 
+    @staticmethod
+    def assert_usage_error(capsys, argv, fragment):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and fragment in err
+
+    def test_solve_zero_budget_is_usage_error(self, camera_rules_file, capsys):
+        self.assert_usage_error(capsys, [
+            "solve", "--rules", str(camera_rules_file),
+            "--k", "0", "--alpha", "0.5", "--beta", "0.5",
+        ], "budget k must be >= 1")
+
+    def test_solve_nan_alpha_is_usage_error(self, camera_rules_file, capsys):
+        self.assert_usage_error(capsys, [
+            "solve", "--rules", str(camera_rules_file),
+            "--k", "2", "--alpha", "nan", "--beta", "0.5",
+        ], "alpha must be in [0, 1]")
+
+    def test_solve_rules_directory_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(capsys, [
+            "solve", "--rules", str(tmp_path),
+            "--k", "2", "--alpha", "0.5", "--beta", "0.5",
+        ], "Is a directory")
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

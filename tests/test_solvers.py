@@ -252,15 +252,6 @@ class TestGreedyDC:
         report = greedy_dc(inst, params)
         assert_feasible_report(inst, params, report)
 
-    def test_beam_width_keeps_feasibility(self):
-        inst = random_instance(seed=506, num_attrs=20, n_pos=8, n_neg=8)
-        params = make_params(4, 0.5, 0.3, inst)
-        full = greedy_dc(inst, params)
-        beamed = greedy_dc(inst, params, beam_width=3)
-        assert_feasible_report(inst, params, beamed)
-        # A beam at least as wide as either side changes nothing.
-        assert greedy_dc(inst, params, beam_width=8).selection == full.selection
-
     def test_dead_end_reports_partial_infeasible(self, camera):
         params = Params(k=2, alpha=0.5, beta=1.5, k1=1, k2=1)
         report = greedy_dc(camera, params)
@@ -300,11 +291,13 @@ class TestBnbDC:
         assert checked >= 150
 
     def test_as_printed_variant_can_overcount(self):
-        # Selecting the two positives covers nothing two-sidedly (value 0's
-        # negative coverer is unselected, value 1 is negative-only).  The
-        # as-printed counting still scores both values: two same-polarity
-        # tags cover value 0, and the augmented positive vectors plus the
-        # positive stand-in all carry value 1.
+        # The paper's printed linearization counts a value when at least two
+        # augmented vectors cover it, the two stand-ins included, whatever
+        # their sentiment.  Selecting the two positives covers nothing
+        # two-sidedly (value 0's negative coverer is unselected, value 1 is
+        # negative-only), yet the printed count scores both values: two
+        # same-polarity tags cover value 0, and the augmented positive
+        # vectors plus the positive stand-in all carry value 1.
         rules = [
             Rule(frozenset({0}), "p1", P, 0.5),
             Rule(frozenset({0}), "p2", P, 0.5),
@@ -313,10 +306,67 @@ class TestBnbDC:
         inst = build_instance(rules, m=2)
         params = make_params(2, 1.0, 0.0, inst)
         corrected = bnb_dc(inst, params)
-        printed = bnb_dc(inst, params, as_printed=True)
-        assert corrected.objective_value == 0
-        assert printed.objective_value == 2
-        assert printed.objective_value > corrected.objective_value
+        selected = [inst.tags[i] for i in corrected.selection.sorted_ids()]
+        assert selected == list(inst.positives())
+        graph = build_dc_graph(inst)
+        vectors = [graph.aug_mask(t) for t in (*selected, graph.dummy_pos, graph.dummy_neg)]
+        printed = sum(
+            1 for y in range(inst.m) if sum(v >> y & 1 for v in vectors) >= 2
+        )
+        assert corrected.objective_value == cov_dc(selected, inst) == 0
+        assert printed == 2
+
+
+# (k, alpha, beta) -> ((ids, objective, nodes) of bnb_ic, same of bnb_dc).
+CAMERA_PINS = {
+    (2, 0.5, 0.5): (((1, 3), 7, 16), ((1, 5), 4, 18)),
+    (3, 0.5, 0.3): (((0, 1, 3), 8, 8), ((0, 1, 4), 4, 20)),
+    (4, 0.5, 0.0): (((0, 1, 3, 4), 8, 10), ((0, 1, 3, 4), 7, 10)),
+    (2, 0.5, 1.0): (((2, 4), 4, 11), ((2, 4), 2, 11)),
+}
+# Indexed by the seed of random_case_pinned.
+RANDOM_PINS = (
+    (((5, 9, 10), 12, 178), ((5, 7, 9), 6, 124)),
+    (((1, 2, 10, 11), 17, 664), ((5, 6, 8, 11), 9, 470)),
+    (((1, 2, 4, 6, 8), 16, 386), ((2, 3, 4, 6, 7), 8, 544)),
+    (((0, 2, 7, 10, 12, 13), 17, 92), ((0, 6, 7, 10, 12, 13), 13, 124)),
+    (((1, 2, 10), 12, 274), ((4, 5, 10), 5, 276)),
+    (((0, 5, 6, 11), 17, 93), ((0, 5, 6, 13), 11, 235)),
+    (((2, 5, 9, 10, 11), 15, 263), ((0, 3, 9, 11, 12), 10, 302)),
+    (((0, 3, 4, 7, 12, 13), 18, 311), ((0, 2, 3, 7, 9, 12), 14, 378)),
+    (((0, 3, 5), 9, 75), ((1, 3, 5), 1, 75)),
+    (((3, 7, 8, 9), 16, 110), ((0, 7, 8, 9), 8, 40)),
+)
+
+
+def random_case_pinned(seed):
+    inst = random_instance(seed=[700, seed], num_attrs=20, n_pos=7, n_neg=7)
+    k = 3 + seed % 4
+    alpha = (0.25, 0.5, 0.75)[seed % 3]
+    beta = (0.0, 0.3, 0.7)[seed % 3]
+    return inst, make_params(k, alpha, beta, inst)
+
+
+class TestBnbPinned:
+    """Fixes the branch-and-bound searches exactly: selection, objective and
+    node count.  A pruning or visiting-order change shows up here even when
+    the optimum is unchanged."""
+
+    @staticmethod
+    def outcome(report):
+        return report.selection.sorted_ids(), report.objective_value, report.nodes_explored
+
+    def test_camera(self, camera):
+        for (k, alpha, beta), (ic, dc) in CAMERA_PINS.items():
+            params = make_params(k, alpha, beta, camera)
+            assert self.outcome(bnb_ic(camera, params)) == ic
+            assert self.outcome(bnb_dc(camera, params)) == dc
+
+    def test_random_instances(self):
+        for seed, (ic, dc) in enumerate(RANDOM_PINS):
+            inst, params = random_case_pinned(seed)
+            assert self.outcome(bnb_ic(inst, params)) == ic
+            assert self.outcome(bnb_dc(inst, params)) == dc
 
 
 class TestSolverContracts:

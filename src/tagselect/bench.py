@@ -200,7 +200,10 @@ def _ratio(row: BenchRow, opt: int) -> float | None:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
     """Execute every sweep point; returns rows in canonical order with
-    approximation ratios filled wherever the matching enumerator ran."""
+    approximation ratios filled wherever the matching enumerator ran.
+    ``jobs`` above 1 runs the points on that many worker processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     instances = materialize_instances(spec)
     tasks = []
     for inst in instances:

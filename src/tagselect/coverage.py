@@ -9,7 +9,8 @@ Three quantities drive the solvers:
   their only side);
 * the labeled-graph objective theta — a minimization proxy for dependent
   coverage built on dummy-augmented tag vectors, where an edge label is the
-  set of values on which two augmented vectors differ.
+  set of values on which two augmented vectors differ.  It has a closed
+  form in the per-side OR and AND of those vectors (:func:`theta_mask`).
 
 Coverage sets live as int bitmasks over the m-value universe, so unions and
 differences are word-parallel.
@@ -18,6 +19,8 @@ differences are word-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -146,6 +149,21 @@ def edge_label(graph: DCGraph, t1: Tag, t2: Tag) -> EdgeLabel:
     return EdgeLabel(differing=bits(graph.aug_mask(t1) ^ graph.aug_mask(t2)))
 
 
+def theta_mask(or_pos, and_pos, or_neg, and_neg):
+    """Values theta counts: those on which all selected positives agree,
+    all selected negatives agree, and the two sides disagree.
+
+    Takes the OR and the AND of each side's augmented vectors; an empty side
+    enters as its dummy (OR = AND = the dummy's vector).  A side disagrees
+    within itself exactly on OR ^ AND, the union of its intra-edge labels;
+    elsewhere each side is constant, so the union of the cross-edge labels
+    reduces to OR_P ^ OR_N there.  Symmetric in the two sides, and works
+    elementwise on Python ints and on numpy ``uint64`` word arrays alike.
+    """
+    intra = (or_pos ^ and_pos) | (or_neg ^ and_neg)
+    return (or_pos ^ or_neg) & ~intra
+
+
 def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
     """Labeled-graph objective: union of cross-edge labels minus union of
     intra-edge labels, over the selected tags' augmented vectors.
@@ -153,7 +171,8 @@ def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
     A sentiment side with no selected tag is represented by its dummy, so
     the objective stays defined for one-sided and empty selections (the
     empty selection scores the two dummies' mutual label).  Dummies never
-    join a side that has real members and never form intra edges.
+    join a side that has real members and never form intra edges.  Costs
+    O(k) big-int operations through :func:`theta_mask`.
     """
     pos: list[int] = []
     neg: list[int] = []
@@ -161,16 +180,13 @@ def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
         if t.id == graph.dummy_pos.id or t.id == graph.dummy_neg.id:
             raise ValueError("dummy tags cannot appear in a selection")
         (pos if t.is_positive else neg).append(graph.aug_mask(t))
-    cross_pos = pos if pos else [graph.aug_mask(graph.dummy_pos)]
-    cross_neg = neg if neg else [graph.aug_mask(graph.dummy_neg)]
+    return theta_mask(
+        *_or_and(pos, graph.aug_mask(graph.dummy_pos)),
+        *_or_and(neg, graph.aug_mask(graph.dummy_neg)),
+    ).bit_count()
 
-    cross = 0
-    for a in cross_pos:
-        for b in cross_neg:
-            cross |= a ^ b
-    intra = 0
-    for side in (pos, neg):
-        for i in range(len(side)):
-            for j in range(i + 1, len(side)):
-                intra |= side[i] ^ side[j]
-    return (cross & ~intra).bit_count()
+
+def _or_and(masks: list[int], dummy: int) -> tuple[int, int]:
+    if not masks:
+        return dummy, dummy
+    return reduce(or_, masks), reduce(and_, masks)

@@ -17,10 +17,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations
-from typing import Callable, Sequence
+from itertools import accumulate, combinations, islice
+from math import comb, isqrt
+from typing import Callable, Iterator, Sequence
 
-from .coverage import build_dc_graph, cov_dc, cov_ic, theta_dc
+import numpy as np
+
+from .coverage import DCGraph, build_dc_graph, theta_dc, theta_mask
 from .errors import Infeasible, InstanceTooLarge
 from .model import EPS, Instance, Params, Selection, Tag, check_quotas
 from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
@@ -190,6 +193,67 @@ def greedy_ic(instance: Instance, params: Params) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
+# Cells of the (positive combination, negative combination) grid that
+# exact_dc scores in one numpy tile; bounds its working memory whatever the
+# size of each side.
+_TILE_PAIRS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _SideRows:
+    """A run of one side's k-combinations, in ``combinations`` order from
+    rank ``start``, as tables with one row per combination."""
+
+    start: int
+    combos: list[tuple[int, ...]]  # indices into the side's tags
+    aug_or: np.ndarray  # (rows, words): OR of the augmented vectors
+    aug_and: np.ndarray  # (rows, words): AND of the augmented vectors
+    rel: np.ndarray  # (rows,): relevance sum, added in tag order
+
+
+def _side_rows(
+    tags: Sequence[Tag], k: int, graph: DCGraph, dummy: Tag, rows: int
+) -> Iterator[_SideRows]:
+    """Yield the k-combinations of one side's ``tags`` as tables of at most
+    ``rows`` rows.  The empty combination stands for the side's dummy."""
+    words = -(-graph.m // 64)
+    aug = np.array(
+        [
+            [(x >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
+            for x in [graph.aug_mask(t) for t in (*tags, dummy)]
+        ],
+        dtype=np.uint64,
+    )
+    rels = [t.relevance for t in tags]
+    combos = combinations(range(len(tags)), k)
+    start = 0
+    while block := list(islice(combos, rows)):
+        members = np.array(block, dtype=np.intp) if k else np.full((len(block), 1), len(tags))
+        yield _SideRows(
+            start=start,
+            combos=block,
+            aug_or=np.bitwise_or.reduce(aug[members], axis=1),
+            aug_and=np.bitwise_and.reduce(aug[members], axis=1),
+            # The scalar sum, so that ties on relevance stay bit-exact.
+            rel=np.array([sum(map(rels.__getitem__, c)) for c in block], dtype=np.float64),
+        )
+        start += len(block)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _tile_best(score: np.ndarray, rel: np.ndarray, ok: np.ndarray) -> tuple[int, float, int, int]:
+    """(score, -rel, row, column) of the cell minimizing score, then
+    maximizing relevance, then first in row-major order, among ``ok`` cells."""
+    s = score[ok].min()
+    tie = ok & (score == s)
+    r = rel[tie].max()
+    i, j = np.argwhere(tie & (rel == r))[0]
+    return int(s), -float(r), int(i), int(j)
+
+
 def exact_dc(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
@@ -200,51 +264,67 @@ def exact_dc(
     The two argopts coincide whenever minimizing theta is equivalent to
     maximizing dependent coverage on the instance; the enumeration does not
     assume that and evaluates both objectives independently.
+
+    Each side's combinations become tables of their augmented OR and AND
+    and relevance; the two sides are joined tile by tile with numpy, at most
+    ``_TILE_PAIRS`` pairs at a time.  Theta comes from ``theta_mask`` and
+    dependent coverage is ``popcount(OR_P & OR_N)`` of the augmented ORs,
+    the two-sided form ``bnb_dc`` maximizes.  Ties resolve as in a pairwise
+    scan: objective, then larger relevance, then the earlier (positive,
+    negative) combination.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     graph = build_dc_graph(instance)
+    positives, negatives = instance.positives(), instance.negatives()
 
-    best_theta: tuple[int, float, tuple[Tag, ...]] | None = None
-    best_cov: tuple[int, float, tuple[Tag, ...]] | None = None
-    nodes = 0
-    for pos in combinations(instance.positives(), params.k1):
-        pos_rel = sum(t.relevance for t in pos)
-        for neg in combinations(instance.negatives(), params.k2):
-            nodes += 1
-            rel = pos_rel + sum(t.relevance for t in neg)
-            if rel < need:
+    n_pos_rows = comb(len(positives), params.k1)
+    n_neg_rows = comb(len(negatives), params.k2)
+    neg_rows = min(n_neg_rows, max(_TILE_PAIRS // n_pos_rows, isqrt(_TILE_PAIRS)))
+    pos_rows = max(1, _TILE_PAIRS // neg_rows)
+
+    def neg_side():
+        return _side_rows(negatives, params.k2, graph, graph.dummy_neg, neg_rows)
+
+    # A negative side that fits one tile is built once; a larger one is
+    # rebuilt for each run of positive rows rather than held whole.
+    neg_once = list(neg_side()) if neg_rows == n_neg_rows else None
+
+    # best[0]: theta optimum, best[1]: cov_dc optimum, each as
+    # ((score, -rel, pos rank, neg rank), tags) with score minimized.
+    best: list = [None, None]
+    for p in _side_rows(positives, params.k1, graph, graph.dummy_pos, pos_rows):
+        for n in neg_once or neg_side():
+            rel = p.rel[:, None] + n.rel[None, :]
+            ok = rel >= need
+            if not ok.any():
                 continue
-            subset = pos + neg
-            th = theta_dc(graph, subset)
-            cv = cov_dc(subset, instance)
-            if (
-                best_theta is None
-                or th < best_theta[0]
-                or (th == best_theta[0] and rel > best_theta[1])
-            ):
-                best_theta = (th, rel, subset)
-            if (
-                best_cov is None
-                or cv > best_cov[0]
-                or (cv == best_cov[0] and rel > best_cov[1])
-            ):
-                best_cov = (cv, rel, subset)
-    if best_theta is None or best_cov is None:
+            th = _popcount(theta_mask(
+                p.aug_or[:, None], p.aug_and[:, None], n.aug_or[None, :], n.aug_and[None, :]
+            ))
+            cv = _popcount(p.aug_or[:, None] & n.aug_or[None, :])
+            for slot, score in enumerate((th, -cv)):
+                s, r, i, j = _tile_best(score, rel, ok)
+                key = (s, r, p.start + i, n.start + j)
+                if best[slot] is None or key < best[slot][0]:
+                    chosen = [positives[x] for x in p.combos[i]]
+                    chosen += [negatives[x] for x in n.combos[j]]
+                    best[slot] = (key, tuple(chosen))
+    if best[0] is None:
         raise Infeasible(
             f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
         )
-    th, _, th_tags = best_theta
-    cv, _, cv_tags = best_cov
+    (th, *_), th_tags = best[0]
+    (neg_cv, *_), cv_tags = best[1]
     return SolveReport(
         algorithm=Algorithm.E_DC,
         selection=_selection(th_tags, "theta_dc", th, True),
         objective_value=th,
         rel_total=rel_total(th_tags),
         wall_time=time.perf_counter() - t0,
-        nodes_explored=nodes,
-        covdc_selection=_selection(cv_tags, "cov_dc", cv, True),
-        covdc_value=cv,
+        nodes_explored=n_pos_rows * n_neg_rows,
+        covdc_selection=_selection(cv_tags, "cov_dc", -neg_cv, True),
+        covdc_value=-neg_cv,
     )
 
 
@@ -258,16 +338,31 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
     stays within factor 2 on balanced quotas (k1 = k2); the one-sided fill
     phase can exceed that on imbalanced quotas, since theta's intra-edge
     subtraction is invisible to the myopic pair step.
+
+    Each side's running OR and AND of augmented vectors make scoring a
+    candidate a constant number of big-int operations.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     bench = RelBenchmark.from_instance(instance)
     graph = build_dc_graph(instance)
+    aug = graph.aug_masks
 
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
     k1_rem, k2_rem = params.k1, params.k2
+    # Running (OR, AND) per side, keyed by is_positive; (0, -1), the
+    # identities of | and &, marks a side with no member yet.
+    acc = {True: (0, -1), False: (0, -1)}
+
+    def take(t: Tag) -> None:
+        nonlocal rel_so_far
+        chosen.append(t)
+        taken.add(t.id)
+        rel_so_far += t.relevance
+        o, a = acc[t.is_positive]
+        acc[t.is_positive] = (o | aug[t.id], a & aug[t.id])
 
     def dead_end() -> SolveReport:
         th = theta_dc(graph, chosen)
@@ -282,15 +377,22 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
     while k1_rem > 0 and k2_rem > 0:
         x = len(chosen) + 2
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        (or_p, and_p), (or_n, and_n) = acc[True], acc[False]
+        open_neg = [
+            (ty, or_n | aug[ty.id], and_n & aug[ty.id])
+            for ty in instance.negatives()
+            if ty.id not in taken
+        ]
         best_key = None
         best_pair = None
         for tx in instance.positives():
             if tx.id in taken:
                 continue
-            for ty in instance.negatives():
-                if ty.id in taken or rel_so_far + tx.relevance + ty.relevance < threshold:
+            po, pa = or_p | aug[tx.id], and_p & aug[tx.id]
+            for ty, no, na in open_neg:
+                if rel_so_far + tx.relevance + ty.relevance < threshold:
                     continue
-                th = theta_dc(graph, chosen + [tx, ty])
+                th = theta_mask(po, pa, no, na).bit_count()
                 key = (th, -(tx.relevance + ty.relevance), (tx.id, ty.id))
                 if best_key is None or key < best_key:
                     best_key = key
@@ -298,32 +400,35 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
         if best_pair is None:
             return dead_end()
         for t in best_pair:
-            chosen.append(t)
-            taken.add(t.id)
-            rel_so_far += t.relevance
+            take(t)
         k1_rem -= 1
         k2_rem -= 1
 
     while len(chosen) < params.k:
-        pool = instance.positives() if k1_rem > 0 else instance.negatives()
+        open_pos = k1_rem > 0
+        pool = instance.positives() if open_pos else instance.negatives()
         x = len(chosen) + 1
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        o, a = acc[open_pos]
+        fixed = acc[not open_pos]
+        if fixed[1] == -1:
+            dummy = graph.aug_mask(graph.dummy_neg if open_pos else graph.dummy_pos)
+            fixed = (dummy, dummy)
         best_key = None
         best_tag = None
         for t in pool:
             if t.id in taken or rel_so_far + t.relevance < threshold:
                 continue
-            th = theta_dc(graph, chosen + [t])
+            # theta_mask is symmetric in its two sides.
+            th = theta_mask(o | aug[t.id], a & aug[t.id], *fixed).bit_count()
             key = (th, -t.relevance, t.id)
             if best_key is None or key < best_key:
                 best_key = key
                 best_tag = t
         if best_tag is None:
             return dead_end()
-        chosen.append(best_tag)
-        taken.add(best_tag.id)
-        rel_so_far += best_tag.relevance
-        if best_tag.is_positive:
+        take(best_tag)
+        if open_pos:
             k1_rem -= 1
         else:
             k2_rem -= 1

@@ -188,6 +188,15 @@ class TestCli:
             "--k", "2", "--alpha", "0.5", "--beta", "0.5",
         ], "Is a directory")
 
+    def test_bench_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        for jobs in ("0", "-3"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            self.assert_usage_error(capsys, [
+                "bench", "--instances", "1", "--algorithms", "a-ic", "--k-values", "2",
+                "--jobs", jobs, "--out", str(out),
+            ], f"jobs must be >= 1, got {jobs}")
+            assert not out.exists()
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

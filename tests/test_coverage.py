@@ -9,6 +9,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagselect import (
     Rule,
@@ -21,6 +23,7 @@ from tagselect import (
     theta_dc,
 )
 from tagselect.datagen import random_instance
+from tagselect.model import union_mask
 
 from conftest import pick
 
@@ -40,6 +43,28 @@ def oracle_cov_dc(selection, instance):
     all_pos = set().union(*(t.coverage for t in instance.positives()), set())
     all_neg = set().union(*(t.coverage for t in instance.negatives()), set())
     return len(pos & neg) + len(pos - all_neg) + len(neg - all_pos)
+
+
+@st.composite
+def selections(draw):
+    """A random vocabulary over m values (m > 64 included, so masks span
+    words) and a random subset of its tags: empty, one-sided and
+    single-member sides all occur."""
+    m = draw(st.integers(1, 150))
+    n_pos = draw(st.integers(0, 5))
+    n_neg = draw(st.integers(0 if n_pos else 1, 5))
+    rules = [
+        Rule(
+            draw(st.frozensets(st.integers(0, m - 1), min_size=1, max_size=m)),
+            f"t{j}",
+            P if j < n_pos else N,
+            0.5,
+        )
+        for j in range(n_pos + n_neg)
+    ]
+    inst = build_instance(rules, m=m)
+    chosen = draw(st.sets(st.integers(0, inst.n - 1)))
+    return inst, [inst.tags[i] for i in sorted(chosen)]
 
 
 def oracle_augmented(instance):
@@ -131,6 +156,21 @@ class TestCovDC:
             size = int(rng.integers(0, inst.n + 1))
             sel = [inst.tags[i] for i in rng.choice(inst.n, size=size, replace=False)]
             assert cov_dc(sel, inst) == oracle_cov_dc(sel, inst)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(selections())
+    def test_two_sided_form_against_oracle(self, case):
+        # The form bnb_dc maximizes and exact_dc counts: both sides' unions,
+        # each extended by the values only the other side's vocabulary
+        # covers (the OR of that side's augmented vectors).
+        inst, sel = case
+        only_pos = inst.pos_cover_mask & ~inst.neg_cover_mask
+        only_neg = inst.neg_cover_mask & ~inst.pos_cover_mask
+        pos = union_mask(t for t in sel if t.is_positive)
+        neg = union_mask(t for t in sel if not t.is_positive)
+        expected = oracle_cov_dc(sel, inst)
+        assert ((pos | only_neg) & (neg | only_pos)).bit_count() == expected
+        assert cov_dc(sel, inst) == expected
 
     def test_gain_can_grow_with_the_set(self):
         # A positive tag whose matching negative is present only in the
@@ -272,6 +312,12 @@ class TestThetaDC:
             size = int(rng.integers(0, inst.n + 1))
             sel = [inst.tags[i] for i in rng.choice(inst.n, size=size, replace=False)]
             assert theta_dc(g, sel) == oracle_theta(inst, sel)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(selections())
+    def test_closed_form_against_oracle(self, case):
+        inst, sel = case
+        assert theta_dc(build_dc_graph(inst), sel) == oracle_theta(inst, sel)
 
     def test_one_sided_selection_uses_the_stand_in(self, camera):
         g = build_dc_graph(camera)

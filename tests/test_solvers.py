@@ -3,6 +3,7 @@ import pytest
 
 from tagselect import (
     Algorithm,
+    Infeasible,
     InfeasiblePolarity,
     InstanceTooLarge,
     Params,
@@ -23,6 +24,7 @@ from tagselect import (
     rel_max,
     theta_dc,
 )
+from tagselect import solvers
 from tagselect.datagen import random_instance
 
 
@@ -367,6 +369,117 @@ class TestBnbPinned:
             inst, params = random_case_pinned(seed)
             assert self.outcome(bnb_ic(inst, params)) == ic
             assert self.outcome(bnb_dc(inst, params)) == dc
+
+
+def pinned_dc_case(seed):
+    rng = np.random.default_rng([710, seed])
+    m = (10, 24, 70, 130)[seed % 4]
+    inst = random_instance(
+        seed=[710, seed, 1],
+        num_attrs=m,
+        n_pos=int(rng.integers(5, 9)),
+        n_neg=int(rng.integers(5, 9)),
+        cover_max=max(6, m // 4),
+    )
+    if seed % 3 == 2:
+        # Equal relevances: every tie on theta is also a tie on relevance,
+        # so the combination order alone decides.
+        inst = build_instance(
+            [Rule(t.coverage, t.label, t.sentiment, 0.5) for t in inst.tags], m=m
+        )
+    k = int(rng.integers(2, 6))
+    alpha = (0.0, 0.25, 0.5, 0.75, 1.0)[seed % 5]
+    beta = (0.0, 0.5, 0.9, 1.0)[(seed // 5) % 4]
+    return inst, make_params(k, alpha, beta, inst)
+
+
+# Indexed by the seed of pinned_dc_case: (theta ids, theta, cov_dc ids,
+# cov_dc, nodes) of exact_dc and (ids, theta, feasible) of greedy_dc.
+# Seeds 16 and 36 are greedy dead ends.
+DC_PINS = (
+    (((6, 7, 8, 10), 0, (6, 7, 8, 10), 0, 5), ((6, 7, 8, 10), 0, True)),
+    (((6, 9, 10, 12), 3, (6, 9, 10, 12), 9, 160), ((6, 10, 11, 13), 3, True)),
+    (((4, 11), 29, (0, 10), 14, 42), ((4, 11), 29, True)),
+    (((1, 3, 4), 40, (1, 3, 4), 20, 20), ((1, 3, 4), 40, True)),
+    (((0, 1, 2, 3, 4), 1, (0, 1, 2, 3, 4), 1, 1), ((0, 1, 2, 3, 4), 1, True)),
+    (((6, 7, 8, 9, 12), 6, (6, 7, 8, 9, 12), 6, 56), ((6, 7, 8, 9, 12), 6, True)),
+    (((2, 11), 28, (2, 11), 21, 35), ((2, 11), 28, True)),
+    (((2, 4, 7, 9, 10), 17, (2, 3, 7, 8, 9), 76, 560), ((2, 4, 7, 9, 10), 17, True)),
+    (((0, 1, 2, 3, 9), 0, (0, 1, 2, 4, 13), 6, 245), ((0, 1, 2, 6, 7), 0, True)),
+    (((1, 3, 5), 6, (1, 3, 5), 4, 20), ((1, 3, 5), 6, True)),
+    (((5, 6, 10, 11, 12), 16, (5, 6, 10, 11, 12), 21, 56), ((5, 6, 10, 11, 12), 16, True)),
+    (((0, 7), 51, (6, 8), 33, 35), ((0, 7), 51, True)),
+    (((0, 8), 5, (0, 8), 3, 40), ((0, 8), 5, True)),
+    (((0, 4, 5), 4, (0, 4, 5), 5, 20), ((0, 4, 5), 4, True)),
+    (((0, 1, 2, 4), 18, (0, 1, 2, 4), 19, 35), ((0, 1, 2, 4), 18, True)),
+    (((9, 10), 60, (9, 10), 6, 10), ((9, 10), 60, True)),
+    (((2, 3, 7, 9, 10), 0, (2, 3, 7, 9, 10), 5, 150), ((), 2, False)),
+    (((0, 1, 6), 10, (0, 1, 6), 7, 50), ((0, 1, 6), 10, True)),
+    (((3, 4, 5, 6, 8), 23, (3, 4, 5, 6, 8), 20, 175), ((3, 4, 5, 6, 8), 23, True)),
+    (((3, 5), 67, (3, 5), 6, 15), ((3, 5), 67, True)),
+    (((8, 9, 10), 0, (8, 9, 10), 1, 20), ((8, 9, 10), 0, True)),
+    (((7, 8, 10, 11), 5, (7, 8, 10, 11), 11, 160), ((7, 8, 10, 11), 5, True)),
+    (((0, 2, 10), 21, (1, 2, 8), 26, 140), ((1, 5, 11), 22, True)),
+    (((3, 4), 39, (4, 6), 23, 21), ((3, 4), 39, True)),
+    (((2, 3, 4, 5, 6), 0, (2, 3, 4, 5, 6), 0, 21), ((2, 3, 4, 5, 6), 0, True)),
+    (((9, 10), 9, (6, 9), 1, 10), ((6, 9), 10, True)),
+    (((3, 7, 10), 22, (3, 7, 10), 20, 105), ((3, 7, 10), 22, True)),
+    (((0, 1, 7), 32, (0, 1, 5), 49, 60), ((0, 1, 7), 32, True)),
+    (((5, 6), 0, (1, 5), 0, 21), ((5, 6), 0, True)),
+    (((0, 1, 2, 5), 4, (0, 1, 2, 5), 6, 70), ((0, 1, 2, 5), 4, True)),
+    (((9, 10), 29, (9, 10), 4, 10), ((9, 10), 29, True)),
+    (((7, 8, 10, 12), 39, (7, 8, 10, 12), 43, 160), ((7, 8, 12, 13), 40, True)),
+    (((1, 3, 11), 0, (3, 4, 12), 6, 126), ((1, 3, 11), 0, True)),
+    (((3, 4), 9, (4, 6), 3, 28), ((3, 4), 9, True)),
+    (((2, 3, 4), 34, (2, 3, 4), 10, 10), ((2, 3, 4), 34, True)),
+    (((7, 8, 9, 11), 27, (7, 8, 10, 11), 30, 5), ((7, 8, 9, 11), 27, True)),
+    (((2, 8, 10, 13), 1, (2, 8, 10, 13), 5, 448), ((), 0, False)),
+    (((1, 8), 10, (1, 8), 3, 64), ((1, 8), 10, True)),
+    (((0, 1, 3, 6), 6, (0, 1, 3, 9), 32, 50), ((0, 1, 3, 6), 6, True)),
+    (((0, 4), 66, (0, 4), 6, 10), ((0, 4), 66, True)),
+)
+
+
+class TestDCPinned:
+    """Fixes the answers of both DC solvers, captured from the pairwise
+    theta_dc/cov_dc scan: one-sided quotas, m up to 130 (three words) and
+    relevance bounds up to 1.0."""
+
+    @staticmethod
+    def exact_outcome(report):
+        return (
+            report.selection.sorted_ids(),
+            report.objective_value,
+            report.covdc_selection.sorted_ids(),
+            report.covdc_value,
+            report.nodes_explored,
+        )
+
+    def test_exact_dc(self):
+        for seed, (pin, _) in enumerate(DC_PINS):
+            assert self.exact_outcome(exact_dc(*pinned_dc_case(seed))) == pin, seed
+
+    def test_exact_dc_across_small_tiles(self, monkeypatch):
+        # Three pairs per tile split every side into many runs, so the best
+        # cell of a later tile must lose ties to an earlier combination.
+        monkeypatch.setattr(solvers, "_TILE_PAIRS", 3)
+        for seed, (pin, _) in enumerate(DC_PINS):
+            assert self.exact_outcome(exact_dc(*pinned_dc_case(seed))) == pin, seed
+
+    def test_greedy_dc(self):
+        for seed, (_, pin) in enumerate(DC_PINS):
+            report = greedy_dc(*pinned_dc_case(seed))
+            outcome = (
+                report.selection.sorted_ids(),
+                report.objective_value,
+                report.selection.feasible,
+            )
+            assert outcome == pin, seed
+
+    def test_exact_dc_unreachable_relevance(self, camera):
+        params = Params(k=2, alpha=0.5, beta=1.5, k1=1, k2=1)
+        with pytest.raises(Infeasible, match="no quota-feasible subset reaches relevance"):
+            exact_dc(camera, params)
 
 
 class TestSolverContracts:

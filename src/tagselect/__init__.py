@@ -36,7 +36,6 @@ from .model import (
     build_instance,
     make_params,
     split_budget,
-    vectorize,
 )
 from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
 from .solvers import (
@@ -89,5 +88,4 @@ __all__ = [
     "split_budget",
     "stepwise_rel_max",
     "theta_dc",
-    "vectorize",
 ]

@@ -2,9 +2,10 @@
 coverage-quality sweeps over (k, alpha, beta), emitted as CSV.
 
 Every (algorithm, parameter point, instance, repetition) combination yields
-one row.  Rows are computed by an optional worker pool but always written in
-canonical sorted order, with '#'-prefixed comment lines echoing the config
-and appending per-algorithm aggregates.
+one row, whose ``outcome`` says how the solve ended.  Rows are computed by
+an optional worker pool but always written in canonical sorted order, with
+'#'-prefixed comment lines echoing the config and appending per-algorithm
+aggregates.
 """
 
 from __future__ import annotations
@@ -14,30 +15,24 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .coverage import cov_dc, cov_ic
-from .errors import TagSelectError
+from .errors import Infeasible, InfeasiblePolarity, InstanceTooLarge
 from .model import Instance, make_params
 from .solvers import SOLVERS, Algorithm, SolveReport
 from .datagen import random_instance
 
-CSV_FIELDS = (
-    "algorithm",
-    "k",
-    "alpha",
-    "beta",
-    "instance_id",
-    "rep",
-    "objective_value",
-    "coverage_proportion",
-    "rel_total",
-    "wall_time",
-    "approx_ratio",
-    "dead_end",
-)
+# How a solve ended: an answer, a greedy dead end, or one of the refusals
+# below.  An unreachable relevance bound is raised by the exact routes only.
+OUTCOMES = ("ok", "dead_end", "infeasible_quota", "infeasible_relevance", "refused")
+_REFUSALS = {
+    InfeasiblePolarity: "infeasible_quota",
+    Infeasible: "infeasible_relevance",
+    InstanceTooLarge: "refused",
+}
 
 # Where each greedy row's ratio takes its optimum from, in order of
 # preference: the coverage maximum for a-ic and the enumerator's theta
@@ -95,43 +90,34 @@ class BenchRow:
     rel_total: float
     wall_time: float
     approx_ratio: float | None
-    dead_end: bool
+    outcome: str  # one of OUTCOMES
+
+    @property
+    def dead_end(self) -> bool:
+        """True when the row carries no answer: a greedy dead end or a
+        refusal, that is every outcome but ``ok``."""
+        return self.outcome != "ok"
 
     def to_csv(self) -> list[str]:
-        return [
-            self.algorithm,
-            str(self.k),
-            repr(self.alpha),
-            repr(self.beta),
-            self.instance_id,
-            str(self.rep),
-            str(self.objective_value),
-            repr(self.coverage_proportion),
-            repr(self.rel_total),
-            repr(self.wall_time),
-            "" if self.approx_ratio is None else repr(self.approx_ratio),
-            "1" if self.dead_end else "0",
-        ]
+        return ["" if v is None else str(v) for v in (getattr(self, f) for f in CSV_FIELDS)]
 
     @classmethod
     def from_csv(cls, row: Sequence[str]) -> "BenchRow":
-        return cls(
-            algorithm=row[0],
-            k=int(row[1]),
-            alpha=float(row[2]),
-            beta=float(row[3]),
-            instance_id=row[4],
-            rep=int(row[5]),
-            objective_value=int(row[6]),
-            coverage_proportion=float(row[7]),
-            rel_total=float(row[8]),
-            wall_time=float(row[9]),
-            approx_ratio=float(row[10]) if row[10] else None,
-            dead_end=row[11] == "1",
-        )
+        return cls(*(_PARSE[f.type](cell) for f, cell in zip(fields(cls), row, strict=True)))
 
     def sort_key(self):
         return (self.algorithm, self.k, self.alpha, self.beta, self.instance_id, self.rep)
+
+
+# The CSV columns are the BenchRow fields, in order; each cell is parsed by
+# its field's annotation.
+CSV_FIELDS = tuple(f.name for f in fields(BenchRow))
+_PARSE = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda cell: float(cell) if cell else None,
+}
 
 
 def materialize_instances(spec: SweepSpec) -> tuple[Instance, ...]:
@@ -165,23 +151,20 @@ def _solve_point(args) -> BenchRow:
         algorithm=algorithm.value, k=k, alpha=alpha, beta=beta,
         instance_id=instance.item_id, rep=rep, objective_value=0,
         coverage_proportion=0.0, rel_total=0.0, wall_time=0.0,
-        approx_ratio=None, dead_end=True,
+        approx_ratio=None, outcome="ok",
     )
     denom = cov_ic(instance.tags)  # values appearing in any rule
     try:
         params = make_params(k, alpha, beta, instance)
-        solver = SOLVERS[algorithm]
-        if algorithm in (Algorithm.A_IC, Algorithm.A_DC):
-            report = solver(instance, params)
-        else:
-            report = solver(instance, params, exact_cap=exact_cap)
-    except TagSelectError:
+        report = SOLVERS[algorithm](instance, params, exact_cap=exact_cap)
+    except tuple(_REFUSALS) as exc:
+        row.outcome = _REFUSALS[type(exc)]
         return row
     row.objective_value = report.objective_value
     row.coverage_proportion = _coverage_count(report, instance) / denom if denom else 0.0
     row.rel_total = report.rel_total
     row.wall_time = report.wall_time
-    row.dead_end = not report.selection.feasible
+    row.outcome = "ok" if report.selection.feasible else "dead_end"
     return row
 
 
@@ -270,7 +253,7 @@ def summarize(rows: list[BenchRow]) -> list[str]:
         sub = [r for r in rows if r.algorithm == alg]
         walls = [r.wall_time for r in sub if not r.dead_end]
         ratios = [r.approx_ratio for r in sub if r.approx_ratio is not None]
-        dead = sum(1 for r in sub if r.dead_end)
+        dead = sum(1 for r in sub if r.outcome == "dead_end")
         fields = [
             f"algorithm={alg}",
             f"rows={len(sub)}",
@@ -311,12 +294,18 @@ def write_csv(rows: list[BenchRow], spec: SweepSpec, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[BenchRow]:
+    """Rows of a CSV written by :func:`write_csv`; a header other than
+    ``CSV_FIELDS`` (say, from before the ``outcome`` column) is refused."""
     rows = []
     with open(path, newline="") as fh:
         for record in csv.reader(fh):
             if not record or record[0].startswith("#"):
                 continue
             if record[0] == "algorithm":
+                if tuple(record) != CSV_FIELDS:
+                    raise ValueError(
+                        f"{path}: columns {','.join(record)}, expected {','.join(CSV_FIELDS)}"
+                    )
                 continue
             rows.append(BenchRow.from_csv(record))
     return rows

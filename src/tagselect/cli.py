@@ -28,12 +28,7 @@ def cmd_solve(args) -> int:
     doc = rules_io.load(args.rules)
     instance = doc.build()
     params = make_params(args.k, args.alpha, args.beta, instance)
-    algorithm = Algorithm(args.algorithm)
-    solver = SOLVERS[algorithm]
-    if algorithm in (Algorithm.A_IC, Algorithm.A_DC):
-        report = solver(instance, params)
-    else:
-        report = solver(instance, params, exact_cap=args.exact_cap)
+    report = SOLVERS[Algorithm(args.algorithm)](instance, params, exact_cap=args.exact_cap)
     for tag_id in report.selection.sorted_ids():
         print(instance.tags[tag_id].annotated())
     print(f"{report.selection.objective_kind} = {report.objective_value}")
@@ -96,8 +91,10 @@ def cmd_gen(args) -> int:
     matrix_path = out.with_suffix(".matrix")
     rules_path = out.with_suffix(".rules.jsonl")
     datagen.save_matrix(matrix, matrix_path)
-    doc = rules_io.document_from_rules(
-        rules, datagen.attribute_names(config), item_id="synthetic"
+    doc = rules_io.RulesDocument(
+        item_id="synthetic",
+        attributes=datagen.attribute_names(config),
+        rules=tuple(rules),
     )
     rules_io.dump(doc, rules_path)
     print(f"wrote {matrix_path} ({matrix.data.shape[0]} x {matrix.data.shape[1]})")

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import AttributeOutOfRange, EmptyInstance, InfeasiblePolarity
 
 # Guard subtracted before ceilings / added to >= tests so that binary float
@@ -269,13 +267,6 @@ def check_quotas(k1: int, k2: int, n_pos: int, n_neg: int) -> None:
             pos_deficit=pos_deficit,
             neg_deficit=neg_deficit,
         )
-
-
-def vectorize(tag: Tag, m: int) -> np.ndarray:
-    """Boolean vector of length m with bit y set iff value y is covered."""
-    v = np.zeros(m, dtype=bool)
-    v[list(tag.coverage)] = True
-    return v
 
 
 def union_mask(tags: Iterable[Tag]) -> int:

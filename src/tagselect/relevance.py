@@ -48,8 +48,9 @@ def _prefix(values: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def rel_total(selection: Iterable[Tag]) -> float:
-    """Sum of member relevances; 0 for the empty set."""
-    return sum(t.relevance for t in selection)
+    """Sum of member relevances, added in iteration order; 0.0 for the
+    empty set."""
+    return sum((t.relevance for t in selection), 0.0)
 
 
 def rel_max(benchmark: RelBenchmark, k1: int, k2: int) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .errors import RulesFileError
 from .model import Instance, Rule, Sentiment, build_instance
@@ -145,13 +144,3 @@ def dumps(doc: RulesDocument) -> str:
 
 def dump(doc: RulesDocument, path: str | Path) -> None:
     Path(path).write_text(dumps(doc))
-
-
-def document_from_rules(
-    rules: Iterable[Rule],
-    attributes: Iterable[str],
-    item_id: str = "item",
-) -> RulesDocument:
-    return RulesDocument(
-        item_id=item_id, attributes=tuple(attributes), rules=tuple(rules)
-    )

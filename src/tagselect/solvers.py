@@ -7,9 +7,11 @@ Each objective gets three routes:
   integer program (count, relevance, and optimistic-coverage pruning);
 * a greedy approximation with a per-step relevance filter.
 
-All solvers are pure functions of (instance, params) and deterministic:
-argmax/argmin ties resolve by objective, then relevance, then lowest tag
-ids, in that order.
+All six are called as ``solver(instance, params, exact_cap=...)`` and
+return a :class:`SolveReport`.  ``exact_cap`` limits enumeration only: the
+exact and branch-and-bound routes refuse larger vocabularies, and the
+greedy routes ignore it.  All solvers are deterministic: argmax/argmin ties
+resolve by objective, then relevance, then lowest tag ids, in that order.
 """
 
 from __future__ import annotations
@@ -42,16 +44,28 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What a solver returned.  Objective values and the relevance total are
+    read from the selections, which hold them once."""
+
     algorithm: Algorithm
     selection: Selection
-    objective_value: int
-    rel_total: float
     wall_time: float
     nodes_explored: int | None = None
     # The DC enumerator reports the theta optimum as its primary selection
     # and carries the dependent-coverage optimum alongside.
     covdc_selection: Selection | None = None
-    covdc_value: int | None = None
+
+    @property
+    def objective_value(self) -> int:
+        return self.selection.objective_value
+
+    @property
+    def rel_total(self) -> float:
+        return self.selection.rel_total
+
+    @property
+    def covdc_value(self) -> int | None:
+        return None if self.covdc_selection is None else self.covdc_selection.objective_value
 
 
 def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
@@ -65,6 +79,14 @@ def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
         )
     bench = RelBenchmark.from_instance(instance)
     return params.beta * rel_max(bench, params.k1, params.k2) - EPS
+
+
+def _reached(best, need: float):
+    """``best``, the answer of an exact route, or the refusal when no
+    quota-feasible subset reached the relevance ``need``."""
+    if best is None:
+        raise Infeasible(f"no quota-feasible subset reaches relevance {need + EPS:.6g}")
+    return best
 
 
 def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Selection:
@@ -111,28 +133,25 @@ def exact_ic(
             # only on strict improvement keeps the smallest id set on ties.
             if best is None or cov > best[0] or (cov == best[0] and rel > best[1]):
                 best = (cov, rel, pos + neg)
-    if best is None:
-        raise Infeasible(
-            f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
-        )
-    cov, _, chosen = best
+    cov, _, chosen = _reached(best, need)
     return SolveReport(
         algorithm=Algorithm.E_IC,
         selection=_selection(chosen, "cov_ic", cov, True),
-        objective_value=cov,
-        rel_total=rel_total(chosen),
         wall_time=time.perf_counter() - t0,
         nodes_explored=nodes,
     )
 
 
-def greedy_ic(instance: Instance, params: Params) -> SolveReport:
+def greedy_ic(
+    instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
+) -> SolveReport:
     """Greedy approximation: k rounds of adding the quota-open tag with the
     largest resulting coverage among those passing the per-step relevance
     filter.  Carries a 1/2 guarantee relative to the enumerator.
 
     A step with an empty candidate pool is a dead end: the partial selection
     is returned flagged infeasible instead of relaxing the filter.
+    ``exact_cap`` limits enumeration only, so it never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
@@ -162,14 +181,7 @@ def greedy_ic(instance: Instance, params: Params) -> SolveReport:
                 best_key = key
                 best_tag = t
         if best_tag is None:
-            # Dead end: the relevance filter emptied the pool mid-run.
-            return SolveReport(
-                algorithm=Algorithm.A_IC,
-                selection=_selection(chosen, "cov_ic", mask.bit_count(), False),
-                objective_value=mask.bit_count(),
-                rel_total=rel_so_far,
-                wall_time=time.perf_counter() - t0,
-            )
+            break  # Dead end: the relevance filter emptied the pool mid-run.
         chosen.append(best_tag)
         taken.add(best_tag.id)
         rel_so_far += best_tag.relevance
@@ -178,12 +190,9 @@ def greedy_ic(instance: Instance, params: Params) -> SolveReport:
             pos_count += 1
         else:
             neg_count += 1
-    cov = mask.bit_count()
     return SolveReport(
         algorithm=Algorithm.A_IC,
-        selection=_selection(chosen, "cov_ic", cov, True),
-        objective_value=cov,
-        rel_total=rel_so_far,
+        selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -310,25 +319,20 @@ def exact_dc(
                     chosen = [positives[x] for x in p.combos[i]]
                     chosen += [negatives[x] for x in n.combos[j]]
                     best[slot] = (key, tuple(chosen))
-    if best[0] is None:
-        raise Infeasible(
-            f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
-        )
-    (th, *_), th_tags = best[0]
+    (th, *_), th_tags = _reached(best[0], need)
     (neg_cv, *_), cv_tags = best[1]
     return SolveReport(
         algorithm=Algorithm.E_DC,
         selection=_selection(th_tags, "theta_dc", th, True),
-        objective_value=th,
-        rel_total=rel_total(th_tags),
         wall_time=time.perf_counter() - t0,
         nodes_explored=n_pos_rows * n_neg_rows,
         covdc_selection=_selection(cv_tags, "cov_dc", -neg_cv, True),
-        covdc_value=-neg_cv,
     )
 
 
-def greedy_dc(instance: Instance, params: Params) -> SolveReport:
+def greedy_dc(
+    instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
+) -> SolveReport:
     """Greedy approximation on the labeled graph.
 
     Phase 1 adds whole cross pairs (one positive, one negative) minimizing
@@ -340,7 +344,9 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
     subtraction is invisible to the myopic pair step.
 
     Each side's running OR and AND of augmented vectors make scoring a
-    candidate a constant number of big-int operations.
+    candidate a constant number of big-int operations.  A step with an
+    empty candidate pool is a dead end, as in :func:`greedy_ic`, and
+    ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
@@ -351,9 +357,9 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
-    k1_rem, k2_rem = params.k1, params.k2
-    # Running (OR, AND) per side, keyed by is_positive; (0, -1), the
-    # identities of | and &, marks a side with no member yet.
+    # Quota left and running (OR, AND) per side, keyed by is_positive;
+    # (0, -1), the identities of | and &, marks a side with no member yet.
+    left = {True: params.k1, False: params.k2}
     acc = {True: (0, -1), False: (0, -1)}
 
     def take(t: Tag) -> None:
@@ -361,20 +367,11 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
         chosen.append(t)
         taken.add(t.id)
         rel_so_far += t.relevance
+        left[t.is_positive] -= 1
         o, a = acc[t.is_positive]
         acc[t.is_positive] = (o | aug[t.id], a & aug[t.id])
 
-    def dead_end() -> SolveReport:
-        th = theta_dc(graph, chosen)
-        return SolveReport(
-            algorithm=Algorithm.A_DC,
-            selection=_selection(chosen, "theta_dc", th, False),
-            objective_value=th,
-            rel_total=rel_so_far,
-            wall_time=time.perf_counter() - t0,
-        )
-
-    while k1_rem > 0 and k2_rem > 0:
+    def best_pair() -> tuple[Tag, Tag] | None:
         x = len(chosen) + 2
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
         (or_p, and_p), (or_n, and_n) = acc[True], acc[False]
@@ -384,7 +381,7 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
             if ty.id not in taken
         ]
         best_key = None
-        best_pair = None
+        best = None
         for tx in instance.positives():
             if tx.id in taken:
                 continue
@@ -396,16 +393,11 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
                 key = (th, -(tx.relevance + ty.relevance), (tx.id, ty.id))
                 if best_key is None or key < best_key:
                     best_key = key
-                    best_pair = (tx, ty)
-        if best_pair is None:
-            return dead_end()
-        for t in best_pair:
-            take(t)
-        k1_rem -= 1
-        k2_rem -= 1
+                    best = (tx, ty)
+        return best
 
-    while len(chosen) < params.k:
-        open_pos = k1_rem > 0
+    def best_fill() -> tuple[Tag] | None:
+        open_pos = left[True] > 0
         pool = instance.positives() if open_pos else instance.negatives()
         x = len(chosen) + 1
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
@@ -415,7 +407,7 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
             dummy = graph.aug_mask(graph.dummy_neg if open_pos else graph.dummy_pos)
             fixed = (dummy, dummy)
         best_key = None
-        best_tag = None
+        best = None
         for t in pool:
             if t.id in taken or rel_so_far + t.relevance < threshold:
                 continue
@@ -424,21 +416,20 @@ def greedy_dc(instance: Instance, params: Params) -> SolveReport:
             key = (th, -t.relevance, t.id)
             if best_key is None or key < best_key:
                 best_key = key
-                best_tag = t
-        if best_tag is None:
-            return dead_end()
-        take(best_tag)
-        if open_pos:
-            k1_rem -= 1
-        else:
-            k2_rem -= 1
+                best = (t,)
+        return best
 
+    while len(chosen) < params.k:
+        # Phase 1 while both quotas are open, then phase 2.
+        step = best_pair() if left[True] and left[False] else best_fill()
+        if step is None:
+            break  # Dead end: the relevance filter emptied the pool mid-run.
+        for t in step:
+            take(t)
     th = theta_dc(graph, chosen)
     return SolveReport(
         algorithm=Algorithm.A_DC,
-        selection=_selection(chosen, "theta_dc", th, True),
-        objective_value=th,
-        rel_total=rel_so_far,
+        selection=_selection(chosen, "theta_dc", th, len(chosen) == params.k),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -534,16 +525,9 @@ def _bnb(
         dfs(i + 1, pos_cnt, neg_cnt, pos_mask, neg_mask, rel)
 
     dfs(0, 0, 0, 0, 0, 0.0)
-    if best["tags"] is None:
-        raise Infeasible(
-            f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
-        )
-    chosen = best["tags"]
     return SolveReport(
         algorithm=algorithm,
-        selection=_selection(chosen, kind, best["val"], True),
-        objective_value=best["val"],
-        rel_total=rel_total(chosen),
+        selection=_selection(_reached(best["tags"], need), kind, best["val"], True),
         wall_time=time.perf_counter() - t0,
         nodes_explored=nodes,
     )

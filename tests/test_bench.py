@@ -1,6 +1,6 @@
 import pytest
 
-from tagselect import Algorithm
+from tagselect import Algorithm, Infeasible, InfeasiblePolarity
 from tagselect import bench
 from tagselect.bench import BenchRow, RandomInstanceSpec, SweepSpec
 from tagselect.cli import main
@@ -45,8 +45,36 @@ class TestRunSweep:
         rows = bench.run_sweep(spec)
         dead = [r for r in rows if r.k == 40]
         assert dead and all(r.dead_end for r in dead)
+        assert {r.outcome for r in dead} == {"infeasible_quota"}
         live = [r for r in rows if r.k == 2]
         assert live and not any(r.dead_end for r in live)
+
+    def test_dead_end_rate_counts_only_greedy_dead_ends(self):
+        # Unmeetable quotas (k=40, half of e-ic's rows) are not dead ends.
+        rows = bench.run_sweep(small_spec(k_values=(2, 40)))
+        summary = {line.split()[0]: line for line in bench.summarize(rows)}
+        assert "dead_end_rate=0.0000" in summary["algorithm=e-ic"]
+
+    @pytest.mark.parametrize("error, outcome", [
+        (InfeasiblePolarity("quota"), "infeasible_quota"),
+        (Infeasible("relevance"), "infeasible_relevance"),
+    ])
+    def test_refusal_outcomes(self, monkeypatch, error, outcome):
+        def refuse(instance, params, exact_cap):
+            raise error
+
+        monkeypatch.setitem(bench.SOLVERS, Algorithm.E_IC, refuse)
+        inst = bench.materialize_instances(small_spec())[0]
+        row = bench._solve_point((Algorithm.E_IC, inst, 2, 0.5, 0.3, 0, 18))
+        assert row.outcome == outcome and row.dead_end
+        assert (row.objective_value, row.rel_total, row.approx_ratio) == (0, 0.0, None)
+
+    def test_exact_cap_refusal_is_an_outcome(self):
+        inst = bench.materialize_instances(small_spec())[0]
+        row = bench._solve_point((Algorithm.E_IC, inst, 2, 0.5, 0.3, 0, 1))
+        assert row.outcome == "refused"
+        row = bench._solve_point((Algorithm.A_IC, inst, 2, 0.5, 0.3, 0, 1))
+        assert row.outcome == "ok"
 
     def test_exact_cap_skips_exact_solvers(self):
         spec = small_spec(
@@ -63,7 +91,7 @@ class TestRunSweep:
         return [
             (r.algorithm, r.k, r.alpha, r.beta, r.instance_id, r.rep,
              r.objective_value, r.coverage_proportion, r.rel_total,
-             r.approx_ratio, r.dead_end)
+             r.approx_ratio, r.outcome)
             for r in rows
         ]
 
@@ -95,6 +123,33 @@ class TestCsv:
         bench.write_csv(rows, spec, path)
         assert bench.read_csv(path) == rows
 
+    def test_columns_are_the_row_fields(self, tmp_path):
+        spec = small_spec(k_values=(2, 40))
+        rows = bench.run_sweep(spec)
+        path = tmp_path / "out.csv"
+        bench.write_csv(rows, spec, path)
+        header = next(l for l in path.read_text().splitlines() if not l.startswith("#"))
+        assert header.split(",") == list(bench.CSV_FIELDS)
+        assert bench.CSV_FIELDS[-1] == "outcome"
+        assert {r.outcome for r in bench.read_csv(path)} == {"ok", "infeasible_quota"}
+
+    def test_read_csv_refuses_old_columns(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text(",".join(bench.CSV_FIELDS[:-1] + ("dead_end",)) + "\n")
+        with pytest.raises(ValueError, match="expected .*outcome"):
+            bench.read_csv(old)
+
+    def test_summary_dead_end_rate(self):
+        def row(outcome):
+            return BenchRow(
+                algorithm="a-dc", k=2, alpha=0.5, beta=0.5, instance_id="x", rep=0,
+                objective_value=0, coverage_proportion=0.0, rel_total=0.0,
+                wall_time=0.0, approx_ratio=None, outcome=outcome,
+            )
+
+        (line,) = bench.summarize([row(o) for o in bench.OUTCOMES])
+        assert "dead_end_rate=0.2000" in line
+
     def test_comment_lines_carry_config_and_aggregates(self, tmp_path):
         spec = small_spec()
         rows = bench.run_sweep(spec)
@@ -115,7 +170,7 @@ class TestCsv:
         row = BenchRow(
             algorithm="a-ic", k=2, alpha=0.5, beta=0.5, instance_id="x", rep=0,
             objective_value=1, coverage_proportion=0.1, rel_total=0.5,
-            wall_time=0.0, approx_ratio=2.5, dead_end=False,
+            wall_time=0.0, approx_ratio=2.5, outcome="ok",
         )
         with pytest.raises(AssertionError):
             bench.assert_bounds([row])
@@ -143,6 +198,25 @@ class TestCli:
         assert "stylish (+)" in out
         assert "poor battery life (-)" in out
         assert "theta_dc = 1" in out
+
+    def test_solve_greedy_ignores_exact_cap(self, camera_rules_file, capsys):
+        rc = main([
+            "solve", "--rules", str(camera_rules_file),
+            "--k", "2", "--alpha", "0.5", "--beta", "0.5", "--algorithm", "a-dc",
+            "--exact-cap", "1",
+        ])
+        assert rc == 0
+        assert "theta_dc = 1" in capsys.readouterr().out
+
+    def test_solve_exact_over_cap_is_refused(self, camera_rules_file, capsys):
+        rc = main([
+            "solve", "--rules", str(camera_rules_file),
+            "--k", "2", "--alpha", "0.5", "--beta", "0.5", "--algorithm", "e-ic",
+            "--exact-cap", "1",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: exhaustive solving refused for n=6 tags")
 
     def test_solve_infeasible_quota(self, camera_rules_file, capsys):
         rc = main([

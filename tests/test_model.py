@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from tagselect import (
@@ -13,7 +12,6 @@ from tagselect import (
     build_instance,
     make_params,
     split_budget,
-    vectorize,
 )
 
 from conftest import by_label, camera_rules
@@ -22,6 +20,11 @@ P, N = Sentiment.POSITIVE, Sentiment.NEGATIVE
 
 
 class TestBuildInstance:
+    def test_mask_sets_one_bit_per_covered_value(self, camera):
+        assert by_label(camera, "super cool").mask == 1 << 3 | 1 << 6 | 1 << 7
+        for t in camera.tags:
+            assert {y for y in range(camera.m) if t.mask >> y & 1} == t.coverage
+
     def test_camera_example(self, camera):
         assert camera.n_pos == 3
         assert camera.n_neg == 3
@@ -141,22 +144,3 @@ class TestParams:
             make_params(2, 1.5, 0.5, camera)
         with pytest.raises(ValueError):
             make_params(2, 0.5, -0.1, camera)
-
-
-class TestVectorize:
-    def test_camera_super_cool(self, camera):
-        v = vectorize(by_label(camera, "super cool"), m=8)
-        assert list(np.flatnonzero(v)) == [3, 6, 7]
-
-    def test_full_coverage_tag(self):
-        inst = build_instance([Rule(frozenset(range(4)), "t", P, 0.5)], m=4)
-        assert vectorize(inst.tags[0], m=4).all()
-
-    def test_single_bit(self):
-        inst = build_instance([Rule(frozenset({0}), "t", P, 0.5)], m=3)
-        assert list(vectorize(inst.tags[0], m=3)) == [True, False, False]
-
-    def test_matches_mask(self, camera):
-        for t in camera.tags:
-            v = vectorize(t, camera.m)
-            assert sum(1 << y for y in np.flatnonzero(v)) == t.mask

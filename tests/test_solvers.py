@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,142 @@ class TestDCPinned:
         params = Params(k=2, alpha=0.5, beta=1.5, k1=1, k2=1)
         with pytest.raises(Infeasible, match="no quota-feasible subset reaches relevance"):
             exact_dc(camera, params)
+
+
+def pinned_ic_case(seed):
+    rng = np.random.default_rng([720, seed])
+    m = (10, 24, 70, 130)[seed % 4]
+    inst = random_instance(
+        seed=[720, seed, 1],
+        num_attrs=m,
+        n_pos=int(rng.integers(5, 9)),
+        n_neg=int(rng.integers(5, 9)),
+        cover_max=max(6, m // 4),
+    )
+    if seed % 3 == 2:
+        inst = build_instance(
+            [Rule(t.coverage, t.label, t.sentiment, 0.5) for t in inst.tags], m=m
+        )
+    k = int(rng.integers(2, 6))
+    alpha = (0.0, 0.25, 0.5, 0.75, 1.0)[seed % 5]
+    beta = (0.0, 0.5, 0.9, 1.0, 0.3, 0.7)[(seed // 5) % 6]
+    params = make_params(k, alpha, beta, inst)
+    if seed >= 30:
+        # A bound above the best relevance: the enumerator refuses and the
+        # greedy dead-ends at its first step.
+        params = dataclasses.replace(params, beta=(1.001, 1.5)[seed % 2])
+    return inst, params
+
+
+# Indexed by the seed of pinned_ic_case: (ids, cov_ic, rel_total, nodes) of
+# exact_ic, or its Infeasible message, and (ids, cov_ic, rel_total,
+# feasible) of greedy_ic.  Seeds 30-33 are greedy dead ends.
+IC_PINS = (
+    (((8, 9, 10, 11, 12), 10, 2.1465300000000003, 1), ((8, 9, 10, 11, 12), 10, 2.1465300000000003, True)),
+    (((1, 7, 8, 10), 12, 2.7286520000000003, 60), ((3, 6, 8, 10), 12, 2.589446, True)),
+    (((0, 2, 8, 12), 40, 2.0, 280), ((0, 2, 8, 12), 40, 2.0, True)),
+    (((0, 4), 56, 1.0199829999999999, 15), ((0, 4), 56, 1.0199829999999999, True)),
+    (((2, 4, 5, 6, 7), 10, 2.822942, 56), ((2, 4, 5, 6, 7), 10, 2.8229420000000003, True)),
+    (((7, 8), 11, 1.0, 28), ((7, 8), 11, 1.0, True)),
+    (((5, 9, 11), 38, 2.1484829999999997, 196), ((0, 8, 9), 37, 1.545501, True)),
+    (((0, 4, 6, 10, 14), 89, 2.283764, 980), ((0, 3, 4, 13, 14), 87, 2.972479, True)),
+    (((0, 1, 2, 3, 6), 10, 2.5, 105), ((0, 1, 2, 3, 6), 10, 2.5, True)),
+    (((0, 1, 2, 6, 7), 17, 3.495418, 56), ((0, 1, 2, 6, 7), 17, 3.495418, True)),
+    (((5, 6, 7, 8, 9), 40, 3.113004, 6), ((5, 6, 7, 8, 9), 40, 3.113004, True)),
+    (((4, 5, 10, 11), 76, 2.0, 175), ((4, 5, 10, 11), 76, 2.0, True)),
+    (((3, 10), 7, 1.835141, 49), ((3, 10), 7, 1.835141, True)),
+    (((0, 1, 2), 11, 1.810245, 35), ((0, 1, 2), 11, 1.810245, True)),
+    (((0, 1, 2, 4), 40, 2.0, 15), ((0, 1, 2, 4), 40, 2.0, True)),
+    (((6, 7, 8, 10), 59, 2.0208209999999998, 5), ((6, 7, 8, 10), 59, 2.020821, True)),
+    (((0, 12), 3, 1.873307, 56), ((0, 12), 3, 1.873307, True)),
+    (((0, 8), 11, 1.0, 49), ((3, 7), 10, 1.0, True)),
+    (((1, 4, 5), 26, 2.717353, 20), ((1, 4, 5), 26, 2.717353, True)),
+    (((0, 1, 3, 4, 6), 75, 3.17161, 21), ((0, 1, 3, 4, 6), 75, 3.17161, True)),
+    (((8, 9, 10, 11, 14), 10, 2.5, 21), ((8, 9, 10, 11, 14), 10, 2.5, True)),
+    (((2, 8, 11), 14, 1.9843989999999998, 105), ((1, 10, 11), 14, 1.273997, True)),
+    (((0, 1, 6, 9), 39, 1.510177, 150), ((0, 1, 6, 7), 38, 1.42127, True)),
+    (((2, 4, 5, 8), 75, 2.0, 175), ((2, 4, 5, 8), 75, 2.0, True)),
+    (((1, 3, 7), 10, 2.206754, 56), ((1, 3, 7), 10, 2.206754, True)),
+    (((8, 9, 10, 11), 16, 2.214872, 5), ((8, 9, 10, 11), 16, 2.214872, True)),
+    (((0, 7, 12), 35, 1.5, 196), ((0, 7, 12), 35, 1.5, True)),
+    (((0, 4, 6, 7, 12), 76, 2.6062130000000003, 525), ((0, 4, 6, 7, 12), 76, 2.6062130000000003, True)),
+    (((4, 5, 6), 9, 2.6174109999999997, 56), ((4, 5, 6), 9, 2.6174109999999997, True)),
+    (((1, 2, 3, 5, 6), 17, 2.5, 21), ((1, 2, 3, 5, 6), 17, 2.5, True)),
+    ('no quota-feasible subset reaches relevance 3.141', ((), 0, 0.0, False)),
+    ('no quota-feasible subset reaches relevance 5.67431', ((), 0, 0.0, False)),
+    ('no quota-feasible subset reaches relevance 2.5025', ((), 0, 0.0, False)),
+    ('no quota-feasible subset reaches relevance 4.97136', ((), 0, 0.0, False)),
+)
+
+
+class TestICPinned:
+    """Fixes the answers of exact_ic and greedy_ic.  Relevance totals are
+    compared exactly: the enumerator and the greedy add the same relevances
+    in different orders, and both orders are pinned."""
+
+    def test_exact_ic(self):
+        for seed, (pin, _) in enumerate(IC_PINS):
+            inst, params = pinned_ic_case(seed)
+            if isinstance(pin, str):
+                with pytest.raises(Infeasible) as exc:
+                    exact_ic(inst, params)
+                assert str(exc.value) == pin, seed
+                continue
+            report = exact_ic(inst, params)
+            outcome = (
+                report.selection.sorted_ids(),
+                report.objective_value,
+                report.rel_total,
+                report.nodes_explored,
+            )
+            assert outcome == pin, seed
+
+    def test_greedy_ic(self):
+        for seed, (_, pin) in enumerate(IC_PINS):
+            report = greedy_ic(*pinned_ic_case(seed))
+            outcome = (
+                report.selection.sorted_ids(),
+                report.objective_value,
+                report.rel_total,
+                report.selection.feasible,
+            )
+            assert outcome == pin, seed
+
+
+class TestCallForm:
+    GREEDY = {Algorithm.A_IC, Algorithm.A_DC}
+
+    def test_every_solver_takes_exact_cap(self, camera):
+        params = make_params(2, 0.5, 0.5, camera)
+        for algorithm, solve in solvers.SOLVERS.items():
+            if algorithm in self.GREEDY:
+                capped = solve(camera, params, exact_cap=1)
+                assert capped.selection == solve(camera, params).selection, algorithm
+            else:
+                with pytest.raises(InstanceTooLarge, match="n=6 tags"):
+                    solve(camera, params, exact_cap=1)
+
+    def test_report_values_come_from_selections(self, camera):
+        params = make_params(3, 0.5, 0.3, camera)
+        for algorithm, solve in solvers.SOLVERS.items():
+            report = solve(camera, params, exact_cap=solvers.DEFAULT_EXACT_CAP)
+            assert report.objective_value == report.selection.objective_value
+            assert report.rel_total == report.selection.rel_total
+            if algorithm is Algorithm.E_DC:
+                assert report.covdc_value == report.covdc_selection.objective_value
+            else:
+                assert report.covdc_selection is report.covdc_value is None
+
+    def test_exact_routes_share_one_refusal(self, camera):
+        params = Params(k=2, alpha=0.5, beta=1.5, k1=1, k2=1)
+        messages = set()
+        for algorithm, solve in solvers.SOLVERS.items():
+            if algorithm in self.GREEDY:
+                continue
+            with pytest.raises(Infeasible) as exc:
+                solve(camera, params)
+            messages.add(str(exc.value))
+        assert messages == {"no quota-feasible subset reaches relevance 0.675"}
 
 
 class TestSolverContracts:

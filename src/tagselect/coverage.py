@@ -28,14 +28,12 @@ from .model import Instance, Sentiment, Tag, union_mask
 
 
 def bits(mask: int) -> frozenset[int]:
-    """Set of bit positions set in ``mask``."""
-    out = set()
-    y = 0
+    """Set of bit positions set in ``mask``; visits the set bits only."""
+    out = []
     while mask:
-        if mask & 1:
-            out.add(y)
-        mask >>= 1
-        y += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return frozenset(out)
 
 

@@ -10,8 +10,12 @@ Each objective gets three routes:
 All six are called as ``solver(instance, params, exact_cap=...)`` and
 return a :class:`SolveReport`.  ``exact_cap`` limits enumeration only: the
 exact and branch-and-bound routes refuse larger vocabularies, and the
-greedy routes ignore it.  All solvers are deterministic: argmax/argmin ties
-resolve by objective, then relevance, then lowest tag ids, in that order.
+greedy routes ignore it.  All solvers are deterministic.  The enumerators
+and the greedy routes resolve ties by objective, then relevance, then lowest
+tag ids.  Branch-and-bound reaches the enumerator's objective, but it prunes
+every subtree that can at best tie its incumbent: of the optimal selections
+it visits it keeps the one of highest relevance, the first in its visiting
+order among equals, so its selection can differ from the enumerator's.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, islice
 from math import comb, isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -455,79 +459,106 @@ def _suffix_top(tags: Sequence[Tag], side: bool) -> list[tuple[float, ...]]:
 
 
 def _bnb(
-    instance: Instance,
-    params: Params,
-    exact_cap: int,
-    algorithm: Algorithm,
-    kind: str,
-    value: Callable[[int, int], int],
+    instance: Instance, params: Params, exact_cap: int, only: tuple[int, int] | None
 ) -> SolveReport:
-    """Depth-first 0/1 search over tag inclusion maximizing
-    ``value(pos_mask, neg_mask)``, the objective of the selected positives'
-    and negatives' coverage unions.  ``value`` must be monotone in both masks.
+    """Depth-first 0/1 search over tag inclusion maximizing the coverage of
+    the selected positives' and negatives' unions P and N: ``cov_ic``,
+    ``|P | N|``, when ``only`` is None, else, with ``only = (only_pos,
+    only_neg)``, the two-sided ``cov_dc``, ``|(P | only_neg) & (N | only_pos)|``.
+
+    Tags are visited positives first, then negatives, each side by
+    descending coverage size, then id.  Once the positive quota is full the
+    search jumps to the first negative.  The search keeps its own stack, so
+    its depth is not bounded by the interpreter's recursion limit.
 
     Pruning: sentiment-count feasibility, an optimistic relevance bound from
-    per-suffix sorted relevance prefix sums, and an optimistic coverage bound
-    (each side's union extended by everything remaining on that side).
+    per-suffix sorted relevance prefix sums, an optimistic coverage bound
+    (each side's union extended by everything remaining on that side), and
+    a size bound: a tag adds at most its coverage size, and in this order
+    the q largest sizes left on a side are those of its next q tags.  For
+    the two-sided objective the size bound counts one side's q largest
+    sizes while the other side takes everything it has left, and takes the
+    smaller of the two such bounds.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     k1, k2 = params.k1, params.k2
+    dc = only is not None
+    only_pos, only_neg = only or (0, 0)
 
-    tags = instance.tags
-    n = len(tags)
-    suffix_pos_union = [0] * (n + 1)
-    suffix_neg_union = [0] * (n + 1)
-    suffix_pos = [0] * (n + 1)
-    suffix_neg = [0] * (n + 1)
+    tags = sorted(instance.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
+    n, n_pos = len(tags), instance.n_pos
+    masks = [t.mask for t in tags]
+    rels = [t.relevance for t in tags]
+    # size[j] - size[i]: the coverage sizes of tags[i:j] summed.
+    size = list(accumulate((m.bit_count() for m in masks), initial=0))
+    # rest[i]: the union of tags[i:] up to the end of tags[i]'s side.
+    rest = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        is_pos = tags[i].is_positive
-        suffix_pos_union[i] = suffix_pos_union[i + 1] | (tags[i].mask if is_pos else 0)
-        suffix_neg_union[i] = suffix_neg_union[i + 1] | (0 if is_pos else tags[i].mask)
-        suffix_pos[i] = suffix_pos[i + 1] + (1 if is_pos else 0)
-        suffix_neg[i] = suffix_neg[i + 1] + (0 if is_pos else 1)
+        rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
     top_pos = _suffix_top(tags, True)
     top_neg = _suffix_top(tags, False)
 
-    best: dict = {"val": -1, "rel": -1.0, "tags": None}
+    best_val, best_rel, best_sel = -1, -1.0, None
     nodes = 0
-    stack: list[Tag] = []
-
-    def dfs(i, pos_cnt, neg_cnt, pos_mask, neg_mask, rel):
-        nonlocal nodes
+    # (next index, positives taken, negatives taken, P, N, relevance,
+    # bit set of the taken indices)
+    stack = [(0, 0, 0, 0, 0, 0.0, 0)]
+    while stack:
+        i, pos_cnt, neg_cnt, pos_mask, neg_mask, rel, sel = stack.pop()
         nodes += 1
-        if pos_cnt == k1 and neg_cnt == k2:
-            if rel < need:
-                return
-            val = value(pos_mask, neg_mask)
-            if val > best["val"] or (val == best["val"] and rel > best["rel"]):
-                best.update(val=val, rel=rel, tags=tuple(stack))
-            return
-        if i == n:
-            return
         need_pos = k1 - pos_cnt
         need_neg = k2 - neg_cnt
-        if suffix_pos[i] < need_pos or suffix_neg[i] < need_neg:
-            return
+        if not need_pos and not need_neg:
+            if rel < need:
+                continue
+            if dc:
+                val = ((pos_mask | only_neg) & (neg_mask | only_pos)).bit_count()
+            else:
+                val = (pos_mask | neg_mask).bit_count()
+            if val > best_val or (val == best_val and rel > best_rel):
+                best_val, best_rel, best_sel = val, rel, sel
+            continue
+        if not need_pos and i < n_pos:
+            i = n_pos
+        first_neg = i if i > n_pos else n_pos
+        if first_neg - i < need_pos or n - first_neg < need_neg:
+            continue
         if rel + top_pos[i][need_pos] + top_neg[i][need_neg] < need:
-            return
-        if value(pos_mask | suffix_pos_union[i], neg_mask | suffix_neg_union[i]) <= best["val"]:
-            return
-        t = tags[i]
-        if t.is_positive and pos_cnt < k1:
-            stack.append(t)
-            dfs(i + 1, pos_cnt + 1, neg_cnt, pos_mask | t.mask, neg_mask, rel + t.relevance)
-            stack.pop()
-        elif not t.is_positive and neg_cnt < k2:
-            stack.append(t)
-            dfs(i + 1, pos_cnt, neg_cnt + 1, pos_mask, neg_mask | t.mask, rel + t.relevance)
-            stack.pop()
-        dfs(i + 1, pos_cnt, neg_cnt, pos_mask, neg_mask, rel)
+            continue
+        rest_pos = rest[i] if i < n_pos else 0
+        rest_neg = rest[first_neg]
+        # need_pos > 0 only while i < n_pos, so both ranges stay on one side.
+        top_pos_size = size[i + need_pos] - size[i]
+        top_neg_size = size[first_neg + need_neg] - size[first_neg]
+        if dc:
+            pos_all = pos_mask | only_neg
+            neg_all = neg_mask | only_pos
+            if ((pos_all | rest_pos) & (neg_all | rest_neg)).bit_count() <= best_val:
+                continue
+            if (pos_all & (neg_all | rest_neg)).bit_count() + top_pos_size <= best_val:
+                continue
+            if ((pos_all | rest_pos) & neg_all).bit_count() + top_neg_size <= best_val:
+                continue
+        else:
+            if (pos_mask | neg_mask | rest_pos | rest_neg).bit_count() <= best_val:
+                continue
+            if (pos_mask | neg_mask).bit_count() + top_pos_size + top_neg_size <= best_val:
+                continue
+        # Push the exclusion first, so that the inclusion is searched first.
+        stack.append((i + 1, pos_cnt, neg_cnt, pos_mask, neg_mask, rel, sel))
+        if i < n_pos:
+            stack.append((i + 1, pos_cnt + 1, neg_cnt, pos_mask | masks[i], neg_mask,
+                          rel + rels[i], sel | 1 << i))
+        else:
+            stack.append((i + 1, pos_cnt, neg_cnt + 1, pos_mask, neg_mask | masks[i],
+                          rel + rels[i], sel | 1 << i))
 
-    dfs(0, 0, 0, 0, 0, 0.0)
+    taken = _reached(best_sel, need)
+    chosen = sorted((t for i, t in enumerate(tags) if taken >> i & 1), key=lambda t: t.id)
     return SolveReport(
-        algorithm=algorithm,
-        selection=_selection(_reached(best["tags"], need), kind, best["val"], True),
+        algorithm=Algorithm.BNB_DC if dc else Algorithm.BNB_IC,
+        selection=_selection(chosen, "cov_dc" if dc else "cov_ic", best_val, True),
         wall_time=time.perf_counter() - t0,
         nodes_explored=nodes,
     )
@@ -540,10 +571,7 @@ def bnb_ic(
     once some selected tag covers it.  The objective value always matches
     the enumerator's; the selection may differ on ties.
     """
-    return _bnb(
-        instance, params, exact_cap, Algorithm.BNB_IC, "cov_ic",
-        lambda pos_mask, neg_mask: (pos_mask | neg_mask).bit_count(),
-    )
+    return _bnb(instance, params, exact_cap, None)
 
 
 def bnb_dc(
@@ -557,10 +585,7 @@ def bnb_dc(
     """
     only_pos = instance.pos_cover_mask & ~instance.neg_cover_mask
     only_neg = instance.neg_cover_mask & ~instance.pos_cover_mask
-    return _bnb(
-        instance, params, exact_cap, Algorithm.BNB_DC, "cov_dc",
-        lambda pos_mask, neg_mask: ((pos_mask | only_neg) & (neg_mask | only_pos)).bit_count(),
-    )
+    return _bnb(instance, params, exact_cap, (only_pos, only_neg))
 
 
 SOLVERS = {

@@ -22,6 +22,7 @@ from tagselect import (
     edge_label,
     theta_dc,
 )
+from tagselect.coverage import bits
 from tagselect.datagen import random_instance
 from tagselect.model import union_mask
 
@@ -97,6 +98,14 @@ def oracle_theta(instance, selection):
         for a, b in combinations(side, 2):
             intra |= a ^ b
     return len(cross - intra)
+
+
+class TestBits:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.frozensets(st.integers(0, 300)))
+    def test_positions_round_trip(self, positions):
+        # Masks up to five words, with sparse and dense ones and the empty one.
+        assert bits(sum(1 << y for y in positions)) == positions
 
 
 class TestCovIC:

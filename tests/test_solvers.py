@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagselect import (
     Algorithm,
@@ -27,7 +29,8 @@ from tagselect import (
     theta_dc,
 )
 from tagselect import solvers
-from tagselect.datagen import random_instance
+from tagselect.datagen import SynthConfig, extract_rules, gen_matrix, random_instance
+from tagselect.model import split_budget
 
 
 P, N = Sentiment.POSITIVE, Sentiment.NEGATIVE
@@ -323,23 +326,23 @@ class TestBnbDC:
 
 # (k, alpha, beta) -> ((ids, objective, nodes) of bnb_ic, same of bnb_dc).
 CAMERA_PINS = {
-    (2, 0.5, 0.5): (((1, 3), 7, 16), ((1, 5), 4, 18)),
-    (3, 0.5, 0.3): (((0, 1, 3), 8, 8), ((0, 1, 4), 4, 20)),
-    (4, 0.5, 0.0): (((0, 1, 3, 4), 8, 10), ((0, 1, 3, 4), 7, 10)),
+    (2, 0.5, 0.5): (((1, 3), 7, 5), ((1, 5), 4, 9)),
+    (3, 0.5, 0.3): (((0, 1, 3), 8, 7), ((0, 1, 3), 4, 7)),
+    (4, 0.5, 0.0): (((0, 1, 3, 4), 8, 9), ((0, 1, 3, 4), 7, 9)),
     (2, 0.5, 1.0): (((2, 4), 4, 11), ((2, 4), 2, 11)),
 }
 # Indexed by the seed of random_case_pinned.
 RANDOM_PINS = (
-    (((5, 9, 10), 12, 178), ((5, 7, 9), 6, 124)),
-    (((1, 2, 10, 11), 17, 664), ((5, 6, 8, 11), 9, 470)),
-    (((1, 2, 4, 6, 8), 16, 386), ((2, 3, 4, 6, 7), 8, 544)),
-    (((0, 2, 7, 10, 12, 13), 17, 92), ((0, 6, 7, 10, 12, 13), 13, 124)),
-    (((1, 2, 10), 12, 274), ((4, 5, 10), 5, 276)),
-    (((0, 5, 6, 11), 17, 93), ((0, 5, 6, 13), 11, 235)),
-    (((2, 5, 9, 10, 11), 15, 263), ((0, 3, 9, 11, 12), 10, 302)),
-    (((0, 3, 4, 7, 12, 13), 18, 311), ((0, 2, 3, 7, 9, 12), 14, 378)),
-    (((0, 3, 5), 9, 75), ((1, 3, 5), 1, 75)),
-    (((3, 7, 8, 9), 16, 110), ((0, 7, 8, 9), 8, 40)),
+    (((5, 9, 10), 12, 69), ((5, 7, 9), 6, 101)),
+    (((1, 2, 10, 11), 17, 219), ((1, 5, 11, 13), 9, 207)),
+    (((1, 2, 4, 6, 8), 16, 103), ((1, 2, 4, 6, 8), 8, 145)),
+    (((2, 6, 7, 8, 10, 13), 17, 37), ((0, 6, 7, 10, 12, 13), 13, 41)),
+    (((1, 2, 10), 12, 51), ((4, 5, 10), 5, 153)),
+    (((0, 5, 6, 13), 17, 29), ((0, 5, 6, 13), 11, 17)),
+    (((2, 3, 9, 11, 13), 15, 111), ((0, 3, 9, 11, 13), 10, 179)),
+    (((0, 4, 6, 7, 12, 13), 18, 85), ((0, 4, 6, 7, 11, 12), 14, 123)),
+    (((0, 3, 5), 9, 35), ((1, 3, 5), 1, 27)),
+    (((3, 7, 8, 9), 16, 81), ((0, 7, 9, 10), 8, 9)),
 )
 
 
@@ -354,23 +357,124 @@ def random_case_pinned(seed):
 class TestBnbPinned:
     """Fixes the branch-and-bound searches exactly: selection, objective and
     node count.  A pruning or visiting-order change shows up here even when
-    the optimum is unchanged."""
+    the optimum is unchanged; each pinned objective is the enumerator's."""
 
     @staticmethod
     def outcome(report):
         return report.selection.sorted_ids(), report.objective_value, report.nodes_explored
 
+    def check(self, inst, params, ic, dc):
+        assert self.outcome(bnb_ic(inst, params)) == ic
+        assert self.outcome(bnb_dc(inst, params)) == dc
+        assert ic[1] == exact_ic(inst, params).objective_value
+        assert dc[1] == exact_dc(inst, params).covdc_value
+
     def test_camera(self, camera):
         for (k, alpha, beta), (ic, dc) in CAMERA_PINS.items():
-            params = make_params(k, alpha, beta, camera)
-            assert self.outcome(bnb_ic(camera, params)) == ic
-            assert self.outcome(bnb_dc(camera, params)) == dc
+            self.check(camera, make_params(k, alpha, beta, camera), ic, dc)
 
     def test_random_instances(self):
         for seed, (ic, dc) in enumerate(RANDOM_PINS):
-            inst, params = random_case_pinned(seed)
-            assert self.outcome(bnb_ic(inst, params)) == ic
-            assert self.outcome(bnb_dc(inst, params)) == dc
+            self.check(*random_case_pinned(seed), ic, dc)
+
+
+@st.composite
+def bnb_cases(draw):
+    """A small vocabulary and quotas built without make_params, so that an
+    unfillable quota reaches the solvers.  One-sided vocabularies, one-sided
+    quotas (alpha 0 and 1), tags of equal coverage size, tied relevances
+    and a relevance bound above the best reachable all occur."""
+    m = draw(st.integers(1, 40))
+    n_pos = draw(st.integers(0, 5))
+    n_neg = draw(st.integers(0 if n_pos else 1, 5))
+    size = draw(st.none() | st.integers(1, m))
+    rel = st.sampled_from((0.0, 0.25, 0.5)) | st.floats(0.0, 1.0)
+    rules = [
+        Rule(
+            draw(st.frozensets(
+                st.integers(0, m - 1), min_size=size or 1, max_size=size or m
+            )),
+            f"t{j}",
+            P if j < n_pos else N,
+            draw(rel),
+        )
+        for j in range(n_pos + n_neg)
+    ]
+    inst = build_instance(rules, m=m)
+    k = draw(st.integers(1, 6))
+    alpha = draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+    beta = draw(st.sampled_from((0.0, 0.3, 0.7, 0.9, 1.0, 1.001)))
+    return inst, Params(k, alpha, beta, *split_budget(k, alpha))
+
+
+def objective_or_error(solve, inst, params, covdc=False):
+    try:
+        report = solve(inst, params)
+    except (Infeasible, InfeasiblePolarity) as exc:
+        return type(exc), str(exc)
+    return report.covdc_value if covdc else report.objective_value
+
+
+class TestBnbAgainstEnumeration:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bnb_cases())
+    def test_objective_or_error_matches(self, case):
+        inst, params = case
+        assert objective_or_error(bnb_ic, inst, params) == objective_or_error(
+            exact_ic, inst, params
+        )
+        assert objective_or_error(bnb_dc, inst, params) == objective_or_error(
+            exact_dc, inst, params, covdc=True
+        )
+
+
+@pytest.fixture(scope="module")
+def rules_file_instance():
+    """The vocabulary of ``tagselect gen --items 20000 --seed 1602``: 50
+    positive and 50 negative tags over 100 values."""
+    config = SynthConfig(num_items=20000, seed=1602)
+    return build_instance(extract_rules(gen_matrix(config)), m=config.num_attrs)
+
+
+class TestBnbScale:
+    """Branch-and-bound past the enumerator's default cap.  The node bounds
+    hold the coverage order and the size bound."""
+
+    def test_ic_at_k4(self, rules_file_instance):
+        params = make_params(4, 0.5, 0.5, rules_file_instance)
+        report = bnb_ic(rules_file_instance, params, exact_cap=100)
+        assert report.objective_value == 32
+        assert report.objective_value == exact_ic(
+            rules_file_instance, params, exact_cap=100
+        ).objective_value
+        assert report.nodes_explored <= 5_000
+
+    def test_dc_at_k4(self, rules_file_instance):
+        params = make_params(4, 0.5, 0.5, rules_file_instance)
+        report = bnb_dc(rules_file_instance, params, exact_cap=100)
+        assert report.objective_value == 12
+        assert report.objective_value == exact_dc(
+            rules_file_instance, params, exact_cap=100
+        ).covdc_value
+        assert report.nodes_explored <= 500_000
+
+    def test_ic_at_k6(self, rules_file_instance):
+        # Beyond enumeration here; an independent MILP model of the 0/1
+        # program (scipy.optimize.milp) gives the same optimum, 46.
+        params = make_params(6, 0.5, 0.5, rules_file_instance)
+        report = bnb_ic(rules_file_instance, params, exact_cap=100)
+        assert_feasible_report(rules_file_instance, params, report)
+        assert report.objective_value == 46
+
+    def test_deep_vocabulary_needs_no_recursion(self):
+        # 1,400 tags: a search that recursed once per tag would exceed the
+        # interpreter's recursion limit.
+        inst = random_instance(seed=713, num_attrs=200, n_pos=700, n_neg=700)
+        params = make_params(2, 0.5, 0.5, inst)
+        report = bnb_ic(inst, params, exact_cap=2000)
+        assert_feasible_report(inst, params, report)
+        selected = [inst.tags[i] for i in report.selection.tag_ids]
+        assert report.objective_value == cov_ic(selected)
 
 
 def pinned_dc_case(seed):

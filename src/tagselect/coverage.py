@@ -88,11 +88,21 @@ class DCGraph:
     """
 
     m: int
-    only_pos: frozenset[int]
-    only_neg: frozenset[int]
+    only_pos_mask: int
+    only_neg_mask: int
     dummy_pos: Tag
     dummy_neg: Tag
     aug_masks: Mapping[int, int]
+
+    @property
+    def only_pos(self) -> frozenset[int]:
+        """Values that positive tags cover and no negative tag does."""
+        return bits(self.only_pos_mask)
+
+    @property
+    def only_neg(self) -> frozenset[int]:
+        """Values that negative tags cover and no positive tag does."""
+        return bits(self.only_neg_mask)
 
     def aug_mask(self, tag: Tag) -> int:
         try:
@@ -130,8 +140,8 @@ def build_dc_graph(instance: Instance) -> DCGraph:
     aug[dummy_neg.id] = only_pos_mask
     return DCGraph(
         m=instance.m,
-        only_pos=bits(only_pos_mask),
-        only_neg=bits(only_neg_mask),
+        only_pos_mask=only_pos_mask,
+        only_neg_mask=only_neg_mask,
         dummy_pos=dummy_pos,
         dummy_neg=dummy_neg,
         aug_masks=MappingProxyType(aug),

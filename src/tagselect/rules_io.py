@@ -65,7 +65,7 @@ def _parse_rule(obj: dict, index: dict[str, int], line_no: int) -> Rule:
     tag = obj["tag"]
     if not isinstance(tag, str) or not tag:
         raise RulesFileError("\"tag\" must be a non-empty string", line_no)
-    sentiment = _SENTIMENTS.get(obj["sentiment"])
+    sentiment = _SENTIMENTS.get(obj["sentiment"]) if isinstance(obj["sentiment"], str) else None
     if sentiment is None:
         raise RulesFileError(
             f"\"sentiment\" must be \"+\" or \"-\", got {obj['sentiment']!r}", line_no
@@ -78,6 +78,8 @@ def _parse_rule(obj: dict, index: dict[str, int], line_no: int) -> Rule:
         raise RulesFileError("\"attrs\" must be a non-empty list", line_no)
     antecedent = set()
     for name in attrs:
+        if not isinstance(name, str):
+            raise RulesFileError(f"\"attrs\" entries must be strings, got {name!r}", line_no)
         if name not in index:
             raise RulesFileError(
                 f"unknown attribute value {name!r} (not in header)", line_no

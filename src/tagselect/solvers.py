@@ -162,35 +162,35 @@ def greedy_ic(
     bench = RelBenchmark.from_instance(instance)
 
     chosen: list[Tag] = []
-    taken = set()
+    # Open candidates in id order: (tag, is_positive, relevance, mask).
+    open_tags = [(t, t.is_positive, t.relevance, t.mask) for t in instance.tags]
     pos_count = neg_count = 0
     rel_so_far = 0.0
     mask = 0
     for x in range(1, params.k + 1):
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        best_key = None
-        best_tag = None
-        for t in instance.tags:
-            if t.id in taken:
+        pos_open = pos_count < params.k1
+        neg_open = neg_count < params.k2
+        best = None
+        best_cov = -1
+        best_rel = 0.0
+        for cand in open_tags:
+            _, positive, rel, tag_mask = cand
+            if not (pos_open if positive else neg_open) or rel_so_far + rel < threshold:
                 continue
-            if t.is_positive:
-                if pos_count >= params.k1:
-                    continue
-            elif neg_count >= params.k2:
-                continue
-            if rel_so_far + t.relevance < threshold:
-                continue
-            key = ((mask | t.mask).bit_count(), t.relevance, -t.id)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_tag = t
-        if best_tag is None:
+            # Visited in id order, so replacing only on a strictly larger
+            # (coverage, relevance) keeps the lowest id on ties.
+            cov = (mask | tag_mask).bit_count()
+            if cov > best_cov or (cov == best_cov and rel > best_rel):
+                best, best_cov, best_rel = cand, cov, rel
+        if best is None:
             break  # Dead end: the relevance filter emptied the pool mid-run.
+        best_tag, positive, rel, tag_mask = best
+        open_tags = [c for c in open_tags if c is not best]
         chosen.append(best_tag)
-        taken.add(best_tag.id)
-        rel_so_far += best_tag.relevance
-        mask |= best_tag.mask
-        if best_tag.is_positive:
+        rel_so_far += rel
+        mask |= tag_mask
+        if positive:
             pos_count += 1
         else:
             neg_count += 1
@@ -348,9 +348,11 @@ def greedy_dc(
     subtraction is invisible to the myopic pair step.
 
     Each side's running OR and AND of augmented vectors make scoring a
-    candidate a constant number of big-int operations.  A step with an
-    empty candidate pool is a dead end, as in :func:`greedy_ic`, and
-    ``exact_cap`` never refuses this route.
+    candidate a constant number of big-int operations.  Each step lists a
+    side's open candidates once, with the OR and AND each would give, and
+    compares theta before relevance, so a losing candidate costs one theta
+    and one comparison.  A step with an empty candidate pool is a dead end,
+    as in :func:`greedy_ic`, and ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
@@ -359,68 +361,73 @@ def greedy_dc(
     aug = graph.aug_masks
 
     chosen: list[Tag] = []
-    taken: set[int] = set()
     rel_so_far = 0.0
-    # Quota left and running (OR, AND) per side, keyed by is_positive;
-    # (0, -1), the identities of | and &, marks a side with no member yet.
+    # Per side, keyed by is_positive: the quota left, the running (OR, AND),
+    # where (0, -1), the identities of | and &, marks a side with no member
+    # yet, and the open candidates in id order as (tag, relevance, vector).
     left = {True: params.k1, False: params.k2}
     acc = {True: (0, -1), False: (0, -1)}
+    open_tags = {
+        side: [(t, t.relevance, aug[t.id]) for t in tags]
+        for side, tags in ((True, instance.positives()), (False, instance.negatives()))
+    }
 
     def take(t: Tag) -> None:
         nonlocal rel_so_far
+        side = t.is_positive
         chosen.append(t)
-        taken.add(t.id)
         rel_so_far += t.relevance
-        left[t.is_positive] -= 1
-        o, a = acc[t.is_positive]
-        acc[t.is_positive] = (o | aug[t.id], a & aug[t.id])
+        left[side] -= 1
+        o, a = acc[side]
+        acc[side] = (o | aug[t.id], a & aug[t.id])
+        open_tags[side] = [c for c in open_tags[side] if c[0] is not t]
 
+    def scored(side: bool) -> list[tuple[Tag, float, int, int]]:
+        """The open candidates of one side, each with the side's OR and AND
+        after adding it."""
+        o, a = acc[side]
+        return [(t, r, o | v, a & v) for t, r, v in open_tags[side]]
+
+    # Candidates are visited in id order and replace the best only on a
+    # smaller theta, or an equal theta and a larger relevance, so ties keep
+    # the lowest ids.  graph.m + 1 exceeds every theta.
     def best_pair() -> tuple[Tag, Tag] | None:
         x = len(chosen) + 2
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        (or_p, and_p), (or_n, and_n) = acc[True], acc[False]
-        open_neg = [
-            (ty, or_n | aug[ty.id], and_n & aug[ty.id])
-            for ty in instance.negatives()
-            if ty.id not in taken
-        ]
-        best_key = None
+        open_neg = scored(False)
         best = None
-        for tx in instance.positives():
-            if tx.id in taken:
-                continue
-            po, pa = or_p | aug[tx.id], and_p & aug[tx.id]
-            for ty, no, na in open_neg:
-                if rel_so_far + tx.relevance + ty.relevance < threshold:
+        best_th, best_rel = graph.m + 1, 0.0
+        for tx, rx, po, pa in scored(True):
+            base = rel_so_far + rx
+            for ty, ry, no, na in open_neg:
+                if base + ry < threshold:
                     continue
                 th = theta_mask(po, pa, no, na).bit_count()
-                key = (th, -(tx.relevance + ty.relevance), (tx.id, ty.id))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (tx, ty)
+                if th > best_th:
+                    continue
+                rel = rx + ry
+                if th < best_th or rel > best_rel:
+                    best, best_th, best_rel = (tx, ty), th, rel
         return best
 
     def best_fill() -> tuple[Tag] | None:
-        open_pos = left[True] > 0
-        pool = instance.positives() if open_pos else instance.negatives()
+        side = left[True] > 0
         x = len(chosen) + 1
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        o, a = acc[open_pos]
-        fixed = acc[not open_pos]
-        if fixed[1] == -1:
-            dummy = graph.aug_mask(graph.dummy_neg if open_pos else graph.dummy_pos)
-            fixed = (dummy, dummy)
-        best_key = None
+        fixed_or, fixed_and = acc[not side]
+        if fixed_and == -1:
+            fixed_or = fixed_and = graph.aug_mask(graph.dummy_neg if side else graph.dummy_pos)
         best = None
-        for t in pool:
-            if t.id in taken or rel_so_far + t.relevance < threshold:
+        best_th, best_rel = graph.m + 1, 0.0
+        for t, r, o, a in scored(side):
+            if rel_so_far + r < threshold:
                 continue
             # theta_mask is symmetric in its two sides.
-            th = theta_mask(o | aug[t.id], a & aug[t.id], *fixed).bit_count()
-            key = (th, -t.relevance, t.id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (t,)
+            th = theta_mask(o, a, fixed_or, fixed_and).bit_count()
+            if th > best_th:
+                continue
+            if th < best_th or r > best_rel:
+                best, best_th, best_rel = (t,), th, r
         return best
 
     while len(chosen) < params.k:

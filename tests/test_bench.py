@@ -236,6 +236,19 @@ class TestCli:
         assert rc != 0
         assert "line 2" in err
 
+    def test_solve_malformed_rule_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"attributes": ["a"]}\n'
+            '{"tag": "x", "sentiment": "+", "p": 0.5, "attrs": [["a"]]}\n'
+        )
+        rc = main(["solve", "--rules", str(bad), "--k", "1", "--alpha", "1.0",
+                   "--beta", "0.0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "line 2" in err
+
     @staticmethod
     def assert_usage_error(capsys, argv, fragment):
         rc = main(argv)

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagselect import RulesFileError, Sentiment
+from tagselect import Rule, RulesFileError, Sentiment
 from tagselect import rules_io
 
 from conftest import CAMERA_ATTRS, camera_rules_jsonl
@@ -18,6 +20,29 @@ def test_load_camera_file(camera_rules_file, camera):
 
 def test_round_trip(camera_rules_file):
     doc = rules_io.load(camera_rules_file)
+    assert rules_io.loads(rules_io.dumps(doc)) == doc
+
+
+@st.composite
+def documents(draw):
+    attributes = draw(st.lists(st.text(), min_size=1, max_size=8, unique=True))
+    rule = st.builds(
+        Rule,
+        st.frozensets(st.integers(0, len(attributes) - 1), min_size=1),
+        st.text(min_size=1),
+        st.sampled_from(Sentiment),
+        st.floats(0.0, 1.0),
+    )
+    return rules_io.RulesDocument(
+        item_id=draw(st.text()),
+        attributes=tuple(attributes),
+        rules=tuple(draw(st.lists(rule, max_size=8))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(documents())
+def test_round_trip_drawn_documents(doc):
     assert rules_io.loads(rules_io.dumps(doc)) == doc
 
 
@@ -85,6 +110,8 @@ def test_non_object_line():
         ({"tag": "t", "sentiment": "+", "p": 0.5, "attrs": []}, "attrs"),
         ({"tag": "t", "sentiment": "+", "p": 0.5, "attrs": ["zzz"]}, "unknown attribute"),
         ({"tag": "", "sentiment": "+", "p": 0.5, "attrs": ["a"]}, "tag"),
+        ({"tag": "t", "sentiment": "+", "p": 0.5, "attrs": [["a"]]}, "attrs"),
+        ({"tag": "t", "sentiment": ["+"], "p": 0.5, "attrs": ["a"]}, "sentiment"),
     ],
 )
 def test_malformed_rule_lines(rule, fragment):

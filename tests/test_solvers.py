@@ -26,11 +26,13 @@ from tagselect import (
     greedy_ic,
     make_params,
     rel_max,
+    rel_total,
+    stepwise_rel_max,
     theta_dc,
 )
 from tagselect import solvers
 from tagselect.datagen import SynthConfig, extract_rules, gen_matrix, random_instance
-from tagselect.model import split_budget
+from tagselect.model import EPS, split_budget
 
 
 P, N = Sentiment.POSITIVE, Sentiment.NEGATIVE
@@ -378,15 +380,13 @@ class TestBnbPinned:
             self.check(*random_case_pinned(seed), ic, dc)
 
 
-@st.composite
-def bnb_cases(draw):
-    """A small vocabulary and quotas built without make_params, so that an
-    unfillable quota reaches the solvers.  One-sided vocabularies, one-sided
-    quotas (alpha 0 and 1), tags of equal coverage size, tied relevances
-    and a relevance bound above the best reachable all occur."""
-    m = draw(st.integers(1, 40))
-    n_pos = draw(st.integers(0, 5))
-    n_neg = draw(st.integers(0 if n_pos else 1, 5))
+def draw_vocabulary(draw, max_m, max_side):
+    """Up to ``max_side`` tags per side, possibly one side only, over at
+    most ``max_m`` values, with tied relevances and, at times, one coverage
+    size for every tag."""
+    m = draw(st.integers(1, max_m))
+    n_pos = draw(st.integers(0, max_side))
+    n_neg = draw(st.integers(0 if n_pos else 1, max_side))
     size = draw(st.none() | st.integers(1, m))
     rel = st.sampled_from((0.0, 0.25, 0.5)) | st.floats(0.0, 1.0)
     rules = [
@@ -400,11 +400,33 @@ def bnb_cases(draw):
         )
         for j in range(n_pos + n_neg)
     ]
-    inst = build_instance(rules, m=m)
+    return build_instance(rules, m=m)
+
+
+BETAS = (0.0, 0.3, 0.7, 0.9, 1.0, 1.001)
+
+
+@st.composite
+def bnb_cases(draw):
+    """A small vocabulary and quotas built without make_params, so that an
+    unfillable quota reaches the solvers.  One-sided vocabularies, one-sided
+    quotas (alpha 0 and 1), tags of equal coverage size, tied relevances
+    and a relevance bound above the best reachable all occur."""
+    inst = draw_vocabulary(draw, 40, 5)
     k = draw(st.integers(1, 6))
     alpha = draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
-    beta = draw(st.sampled_from((0.0, 0.3, 0.7, 0.9, 1.0, 1.001)))
+    beta = draw(st.sampled_from(BETAS))
     return inst, Params(k, alpha, beta, *split_budget(k, alpha))
+
+
+@st.composite
+def greedy_cases(draw):
+    """Up to 8+8 tags and quotas each side can fill; k1 = 0 and k2 = 0
+    (alpha 1 and 0) both occur."""
+    inst = draw_vocabulary(draw, 30, 8)
+    k1 = draw(st.integers(0 if inst.n_neg else 1, inst.n_pos))
+    k2 = draw(st.integers(0 if k1 else 1, inst.n_neg))
+    return inst, Params(k1 + k2, k1 / (k1 + k2), draw(st.sampled_from(BETAS)), k1, k2)
 
 
 def objective_or_error(solve, inst, params, covdc=False):
@@ -426,6 +448,144 @@ class TestBnbAgainstEnumeration:
         assert objective_or_error(bnb_dc, inst, params) == objective_or_error(
             exact_dc, inst, params, covdc=True
         )
+
+
+def reference_greedy_ic(inst, params):
+    """greedy_ic's loop with a full (coverage, relevance, -id) key per
+    candidate."""
+    bench = RelBenchmark.from_instance(inst)
+    chosen = []
+    quota = {True: params.k1, False: params.k2}
+    rel_so_far = 0.0
+    for x in range(1, params.k + 1):
+        threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        best_key = best = None
+        for t in inst.tags:
+            if t in chosen or quota[t.is_positive] == 0:
+                continue
+            if rel_so_far + t.relevance < threshold:
+                continue
+            key = (cov_ic(chosen + [t]), t.relevance, -t.id)
+            if best_key is None or key > best_key:
+                best_key, best = key, t
+        if best is None:
+            break
+        chosen.append(best)
+        quota[best.is_positive] -= 1
+        rel_so_far += best.relevance
+    return reference_outcome(chosen, cov_ic(chosen), params)
+
+
+def reference_greedy_dc(inst, params):
+    """greedy_dc's pair and fill loops with a full (theta, -relevance, ids)
+    key per candidate, theta scored by theta_dc on the whole selection."""
+    bench = RelBenchmark.from_instance(inst)
+    graph = build_dc_graph(inst)
+    chosen = []
+    quota = {True: params.k1, False: params.k2}
+    rel_so_far = 0.0
+    while len(chosen) < params.k:
+        if quota[True] and quota[False]:
+            x = len(chosen) + 2
+            steps = [
+                (tx, ty)
+                for tx in inst.positives() if tx not in chosen
+                for ty in inst.negatives() if ty not in chosen
+            ]
+        else:
+            x = len(chosen) + 1
+            side = inst.positives() if quota[True] else inst.negatives()
+            steps = [(t,) for t in side if t not in chosen]
+        threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        best_key = best = None
+        for step in steps:
+            rel = rel_so_far
+            for t in step:
+                rel += t.relevance
+            if rel < threshold:
+                continue
+            key = (
+                theta_dc(graph, chosen + list(step)),
+                -sum(t.relevance for t in step),
+                tuple(t.id for t in step),
+            )
+            if best_key is None or key < best_key:
+                best_key, best = key, step
+        if best is None:
+            break
+        for t in best:
+            chosen.append(t)
+            quota[t.is_positive] -= 1
+            rel_so_far += t.relevance
+    return reference_outcome(chosen, theta_dc(graph, chosen), params)
+
+
+def reference_outcome(chosen, value, params):
+    """A reference run's answer in the form of :func:`greedy_outcome`."""
+    ids = tuple(sorted(t.id for t in chosen))
+    return ids, value, len(chosen) == params.k, rel_total(chosen)
+
+
+def greedy_outcome(report):
+    sel = report.selection
+    return sel.sorted_ids(), sel.objective_value, sel.feasible, sel.rel_total
+
+
+class TestGreedyAgainstReference:
+    """The greedy candidate loops compare theta (or coverage) first and
+    build no key; the reference builds the whole tuple key each time.  Equal
+    relevances force the tie-breaks, and a bound up to 1.001 gives dead
+    ends."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(greedy_cases())
+    def test_answers_match(self, case):
+        inst, params = case
+        assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
+        assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+
+@st.composite
+def permuted_rules(draw):
+    """Rules that repeat (label, sentiment) pairs, so that normalization
+    picks one rule per tag, and a permutation of the same rules."""
+    m = draw(st.integers(1, 12))
+    rule = st.builds(
+        Rule,
+        st.frozensets(st.integers(0, m - 1), min_size=1),
+        st.sampled_from("abcde"),
+        st.sampled_from(Sentiment),
+        st.sampled_from((0.0, 0.25, 0.5)) | st.floats(0.0, 1.0),
+    )
+    rules = draw(st.lists(rule, min_size=1, max_size=14))
+    return m, rules, draw(st.permutations(rules))
+
+
+def answer_or_error(solve, inst, params):
+    try:
+        return dataclasses.replace(solve(inst, params), wall_time=0.0)
+    except (Infeasible, InfeasiblePolarity) as exc:
+        return type(exc), str(exc)
+
+
+class TestPermutedRules:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        permuted_rules(),
+        st.integers(1, 6),
+        st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+        st.sampled_from(BETAS),
+    )
+    def test_same_tags_and_answers(self, case, k, alpha, beta):
+        m, rules, shuffled = case
+        inst = build_instance(rules, m=m)
+        other = build_instance(shuffled, m=m)
+        assert other.tags == inst.tags
+        params = Params(k, alpha, beta, *split_budget(k, alpha))
+        for algorithm, solve in solvers.SOLVERS.items():
+            assert answer_or_error(solve, other, params) == answer_or_error(
+                solve, inst, params
+            ), algorithm
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,15 @@ parallel and serial generation produce identical matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NoData
-from .model import Instance, Rule, Sentiment, build_instance
+from .model import Instance, Rule, Sentiment, build_instance, check_antecedents
 
 # Rows per generation block; one counter-keyed stream per block.
 BLOCK_ROWS = 16384
@@ -89,8 +90,14 @@ def attribute_probs(config: SynthConfig) -> np.ndarray:
 
 
 def attribute_names(config: SynthConfig) -> tuple[str, ...]:
-    width = len(str(config.num_attrs - 1))
-    return tuple(f"attr{y:0{width}d}" for y in range(config.num_attrs))
+    return _attribute_names(config.num_attrs)
+
+
+@lru_cache(maxsize=8)
+def _attribute_names(num_attrs: int) -> tuple[str, ...]:
+    # One tuple per attribute count, shared by every instance built from it.
+    width = len(str(num_attrs - 1))
+    return tuple(f"attr{y:0{width}d}" for y in range(num_attrs))
 
 
 def tag_labels(config: SynthConfig) -> tuple[str, ...]:
@@ -118,6 +125,18 @@ def draw_correlated_sets(config: SynthConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(sets)
 
 
+def _majorities(
+    attrs: np.ndarray, correlated: Sequence[Sequence[int]]
+) -> Iterator[np.ndarray]:
+    """Per tag, the rows where strictly more than half of its correlated
+    attribute cells are 1 (ties count as 0)."""
+    # Summing whole rows of a column-major copy is several times faster
+    # than gathering columns of the row-major block.
+    by_col = np.ascontiguousarray(attrs.T)
+    for corr in correlated:
+        yield 2 * by_col[list(corr)].sum(axis=0) > len(corr)
+
+
 def gen_matrix(config: SynthConfig) -> SynthMatrix:
     """Generate the full boolean matrix deterministically from the config.
 
@@ -132,11 +151,8 @@ def gen_matrix(config: SynthConfig) -> SynthMatrix:
         rng = _stream(config.seed, block_start // BLOCK_ROWS)
         attrs = rng.random((block_rows, config.num_attrs)) < probs
         data[block_start : block_start + block_rows, : config.num_attrs] = attrs
-        for j, corr in enumerate(correlated):
-            counts = attrs[:, corr].sum(axis=1)
-            data[block_start : block_start + block_rows, config.num_attrs + j] = (
-                2 * counts > len(corr)
-            )
+        for j, majority in enumerate(_majorities(attrs, correlated)):
+            data[block_start : block_start + block_rows, config.num_attrs + j] = majority
     return SynthMatrix(config=config, data=data, correlated=correlated)
 
 
@@ -148,8 +164,9 @@ def extract_rules(matrix: SynthMatrix) -> list[Rule]:
     labels = tag_labels(config)
     attrs = matrix.data[:, : config.num_attrs]
     rules = []
-    for j, corr in enumerate(matrix.correlated):
-        majority = 2 * attrs[:, corr].sum(axis=1) > len(corr)
+    for j, (corr, majority) in enumerate(
+        zip(matrix.correlated, _majorities(attrs, matrix.correlated))
+    ):
         tag_col = matrix.data[:, config.num_attrs + j]
         hits = int(majority.sum())
         freq = float(tag_col[majority].sum() / hits) if hits else 0.0
@@ -166,26 +183,32 @@ def extract_rules(matrix: SynthMatrix) -> list[Rule]:
 
 def sample_instance(matrix: SynthMatrix, rules: Sequence[Rule], item_row: int) -> Instance:
     """Instance for one item row: antecedents restricted to the item's active
-    attribute values; rules whose tag bit is 0 for the item are dropped."""
+    attribute values; rules whose tag bit is 0 for the item are dropped.
+
+    Every antecedent must lie in the attribute columns, whatever the row.
+    """
     config = matrix.config
+    num_attrs = config.num_attrs
     if not 0 <= item_row < config.num_items:
         raise IndexError(f"item_row {item_row} outside [0, {config.num_items})")
     if len(rules) != config.num_tags:
         raise ValueError(
             f"expected {config.num_tags} rules aligned with tag columns, got {len(rules)}"
         )
+    check_antecedents(rules, num_attrs)
     row = matrix.data[item_row]
-    active = []
-    for j, rule in enumerate(rules):
-        if not row[config.num_attrs + j]:
-            continue
-        restricted = frozenset(y for y in rule.antecedent if row[y])
-        if not restricted:
-            continue
-        active.append(replace(rule, antecedent=restricted))
+    active = set(np.flatnonzero(row[:num_attrs]).tolist())
+    kept = []
+    for rule, fired in zip(rules, row[num_attrs:].tolist()):
+        if fired:
+            restricted = rule.antecedent & active
+            if restricted:
+                kept.append(
+                    Rule(restricted, rule.tag_label, rule.sentiment, rule.probability)
+                )
     return build_instance(
-        active,
-        m=config.num_attrs,
+        kept,
+        m=num_attrs,
         item_id=f"item-{item_row}",
         attr_names=attribute_names(config),
     )
@@ -298,6 +321,12 @@ def load_matrix(path: str | Path) -> SynthMatrix:
     correlated = tuple(tuple(c) for c in header.pop("correlated"))
     config = SynthConfig(**{k: tuple(v) if k == "group_probs" else v for k, v in header.items()})
     total = config.num_items * config.num_cols
+    expected = (total + 7) // 8
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: payload holds {len(payload)} bytes, expected {expected} "
+            f"for {config.num_items}x{config.num_cols} cells"
+        )
     data = (
         np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total)
         .astype(bool)

@@ -163,6 +163,22 @@ def _rule_sort_key(rule: Rule) -> tuple:
     return (rule.probability, len(rule.antecedent), tuple(sorted(rule.antecedent)))
 
 
+def check_antecedents(rules: Sequence[Rule], m: int) -> None:
+    """Raise :class:`AttributeOutOfRange` for the first rule with an
+    antecedent value outside ``[0, m)``."""
+    # One union and its bounds clear the common case, where all values fit.
+    values = set().union(*[rule.antecedent for rule in rules])
+    if not values or (min(values) >= 0 and max(values) < m):
+        return
+    for rule in rules:
+        bad = sorted(y for y in rule.antecedent if y < 0 or y >= m)
+        if bad:
+            raise AttributeOutOfRange(
+                f"rule for {rule.tag_label!r} references attribute value(s) "
+                f"{bad} outside [0, {m})"
+            )
+
+
 def build_instance(
     rules: Sequence[Rule],
     m: int,
@@ -184,25 +200,23 @@ def build_instance(
     if attr_names is not None and len(attr_names) != m:
         raise ValueError(f"attr_names has {len(attr_names)} entries, expected m={m}")
 
-    best: dict[tuple[str, Sentiment], Rule] = {}
+    check_antecedents(rules, m)
+    # Keyed on (label, is positive): a bool hashes in C, an Enum in Python.
+    best: dict[tuple[str, bool], Rule] = {}
     for rule in rules:
-        bad = [y for y in rule.antecedent if y < 0 or y >= m]
-        if bad:
-            raise AttributeOutOfRange(
-                f"rule for {rule.tag_label!r} references attribute value(s) "
-                f"{sorted(bad)} outside [0, {m})"
-            )
-        key = (rule.tag_label, rule.sentiment)
-        if key not in best or _rule_sort_key(rule) > _rule_sort_key(best[key]):
+        key = (rule.tag_label, rule.sentiment is Sentiment.POSITIVE)
+        held = best.get(key)
+        if held is None or _rule_sort_key(rule) > _rule_sort_key(held):
             best[key] = rule
 
-    def block(sentiment: Sentiment) -> list[Rule]:
+    def block(positive: bool) -> list[Rule]:
         return sorted(
-            (r for r in best.values() if r.sentiment is sentiment),
+            (r for (_, is_pos), r in best.items() if is_pos is positive),
             key=lambda r: r.tag_label,
         )
 
-    ordered = block(Sentiment.POSITIVE) + block(Sentiment.NEGATIVE)
+    positives = block(True)
+    ordered = positives + block(False)
     tags = tuple(
         Tag(
             id=i,
@@ -213,13 +227,12 @@ def build_instance(
         )
         for i, r in enumerate(ordered)
     )
-    n_pos = sum(1 for t in tags if t.is_positive)
     return Instance(
         item_id=item_id,
         m=m,
         tags=tags,
-        n_pos=n_pos,
-        n_neg=len(tags) - n_pos,
+        n_pos=len(positives),
+        n_neg=len(tags) - len(positives),
         attr_names=tuple(attr_names) if attr_names is not None else None,
     )
 

@@ -1,9 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagselect import EmptyInstance, NoData, Sentiment
+from tagselect import AttributeOutOfRange, EmptyInstance, NoData, Rule, Sentiment
 from tagselect import datagen
 from tagselect.datagen import (
     DemographicRatings,
@@ -15,6 +18,8 @@ from tagselect.datagen import (
     random_instance,
     sample_instance,
 )
+from tagselect.errors import TagSelectError
+from tagselect.model import build_instance
 
 
 def small_config(**kw):
@@ -59,14 +64,28 @@ class TestGenMatrix:
         assert mx.data.all()
 
     def test_majority_is_strict(self):
-        # Two correlated attributes, exactly one set: not a majority.
-        config = small_config(num_items=4, num_attrs=2, num_pos_tags=1,
-                              num_neg_tags=0, corr_min=2, corr_max=2)
-        data = np.array(
-            [[1, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=bool
+        configs = (
+            # Two generation blocks, no negative tags, and set sizes 2, 3
+            # and 4 out of 4 attributes.
+            small_config(num_items=datagen.BLOCK_ROWS + 300, num_attrs=4,
+                         num_pos_tags=4, num_neg_tags=0, corr_min=2,
+                         corr_max=4, group_probs=(0.5,), seed=15),
+            small_config(num_items=600, num_attrs=6, num_pos_tags=3,
+                         num_neg_tags=3, corr_min=1, corr_max=6,
+                         group_probs=(0.5, 0.3), seed=13),
         )
-        data[:, 2] = 2 * data[:, :2].sum(axis=1) > 2
-        assert list(data[:, 2]) == [True, False, False, False]
+        for config in configs:
+            mx = gen_matrix(config)
+            assert max(len(c) for c in mx.correlated) == config.num_attrs
+            ties = 0
+            for row in mx.data.tolist():
+                for j, corr in enumerate(mx.correlated):
+                    ones = sum(row[y] for y in corr)
+                    ties += 2 * ones == len(corr)
+                    assert row[config.num_attrs + j] == (2 * ones > len(corr))
+            # Even-sized sets with exactly half their attributes set occur,
+            # and their tag cells read 0.
+            assert ties > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -75,6 +94,110 @@ class TestGenMatrix:
             SynthConfig(num_items=10, group_probs=(0.5, 1.5, 0.1, 0.1))
         with pytest.raises(ValueError):
             SynthConfig(num_items=10, num_attrs=4, corr_min=3, corr_max=8)
+
+
+class TestCatalogue:
+    """The 20,000-item catalogue the item-requests benchmark serves from;
+    its matrix bytes and rules must not drift."""
+
+    def test_matrix_and_rules_pinned(self):
+        mx = gen_matrix(SynthConfig(num_items=20000, group_probs=(0.9, 0.5, 0.3, 0.1), seed=1602))
+        assert hashlib.sha256(mx.data.tobytes()).hexdigest() == (
+            "86c25e731b78a82b8366ae2bcb564b73499050d99113eff0264d2be170a54b47"
+        )
+        rules = repr([
+            (sorted(r.antecedent), r.tag_label, r.sentiment.value, r.probability)
+            for r in extract_rules(mx)
+        ])
+        assert hashlib.sha256(rules.encode()).hexdigest() == (
+            "666397ed76d74f2a13855ec697106aab240a6c08cadfc8f162af5a251ce2c300"
+        )
+
+
+def loop_extract_rules(matrix):
+    """Reference for ``extract_rules``: one cell at a time."""
+    config = matrix.config
+    rules = []
+    for j, corr in enumerate(matrix.correlated):
+        hits = fires = 0
+        for row in matrix.data.tolist():
+            if 2 * sum(row[y] for y in corr) > len(corr):
+                hits += 1
+                fires += row[config.num_attrs + j]
+        freq = fires / hits if hits else 0.0
+        rules.append(
+            Rule(
+                antecedent=frozenset(corr),
+                tag_label=datagen.tag_labels(config)[j],
+                sentiment=datagen.tag_sentiment(config, j),
+                probability=min(1.0, max(0.01, freq)),
+            )
+        )
+    return rules
+
+
+def loop_sample_instance(matrix, rules, item_row):
+    """Reference for ``sample_instance``: reads each cell of the row."""
+    config = matrix.config
+    row = matrix.data[item_row]
+    active = []
+    for j, rule in enumerate(rules):
+        if not row[config.num_attrs + j]:
+            continue
+        restricted = frozenset(y for y in rule.antecedent if row[y])
+        if restricted:
+            active.append(replace(rule, antecedent=restricted))
+    return build_instance(
+        active,
+        m=config.num_attrs,
+        item_id=f"item-{item_row}",
+        attr_names=datagen.attribute_names(config),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TagSelectError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def matrices(draw):
+    num_attrs = draw(st.integers(1, 12))
+    corr_max = draw(st.integers(1, num_attrs))
+    config = SynthConfig(
+        num_items=draw(st.integers(1, 40)),
+        num_attrs=num_attrs,
+        num_pos_tags=draw(st.integers(0, 4)),
+        num_neg_tags=draw(st.integers(0, 4)),
+        group_probs=tuple(
+            draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)), min_size=1, max_size=4))
+        ),
+        seed=draw(st.integers(0, 2**32)),
+        corr_min=draw(st.integers(1, corr_max)),
+        corr_max=corr_max,
+    )
+    mx = gen_matrix(config)
+    # Doctored matrices: a share of the tag cells disagrees with the majority.
+    flip = draw(st.sampled_from((0.0, 0.2, 1.0)))
+    if flip:
+        data = mx.data.copy()
+        tags = data[:, num_attrs:]
+        tags ^= np.random.default_rng(draw(st.integers(0, 2**32))).random(tags.shape) < flip
+        mx = SynthMatrix(config=config, data=data, correlated=mx.correlated)
+    return mx
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices())
+def test_vectorized_paths_match_cell_loops(mx):
+    rules = extract_rules(mx)
+    assert rules == loop_extract_rules(mx)
+    for row in range(mx.config.num_items):
+        assert outcome(sample_instance, mx, rules, row) == outcome(
+            loop_sample_instance, mx, rules, row
+        )
 
 
 class TestExtractRules:
@@ -143,6 +266,17 @@ class TestSampleInstance:
             for t in inst.tags:
                 assert t.coverage <= active
 
+    @pytest.mark.parametrize("value", [10, 16 + 50, -1], ids=["num_attrs", "past_num_cols", "minus_one"])
+    def test_out_of_range_antecedent_raises_on_every_row(self, value):
+        config = small_config(num_items=50, num_attrs=10, num_pos_tags=3,
+                              num_neg_tags=3, corr_min=2, corr_max=4)
+        mx = gen_matrix(config)
+        rules = extract_rules(mx)
+        rules[2] = replace(rules[2], antecedent=rules[2].antecedent | {value})
+        for row in range(config.num_items):
+            with pytest.raises(AttributeOutOfRange, match=rf"'pos-002'.*\[{value}\] outside \[0, 10\)"):
+                sample_instance(mx, rules, row)
+
     def test_row_bounds(self):
         mx = gen_matrix(small_config(num_items=10))
         rules = extract_rules(mx)
@@ -201,6 +335,15 @@ class TestPersistence:
         path = tmp_path / "junk"
         path.write_bytes(b"not a matrix")
         with pytest.raises(ValueError):
+            datagen.load_matrix(path)
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-200], lambda raw: raw + b"\x00"],
+                             ids=["short", "trailing"])
+    def test_payload_of_wrong_length_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.matrix"
+        datagen.save_matrix(gen_matrix(small_config()), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="payload holds"):
             datagen.load_matrix(path)
 
     def test_csv_export(self, tmp_path):

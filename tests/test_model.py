@@ -95,8 +95,9 @@ class TestBuildInstance:
             build_instance([], m=4)
 
     def test_out_of_range_antecedent_rejected(self):
-        with pytest.raises(AttributeOutOfRange):
-            build_instance([Rule(frozenset({5}), "t", P, 0.5)], m=3)
+        with pytest.raises(AttributeOutOfRange, match=r"'t' .* \[-1, 5\] outside \[0, 3\)"):
+            build_instance([Rule(frozenset({0}), "s", P, 0.5),
+                            Rule(frozenset({5, 1, -1}), "t", P, 0.5)], m=3)
 
     def test_bad_universe_size_rejected(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,9 @@ branch-and-bound, and greedy solvers plus a benchmark harness.
 
 from .coverage import (
     DCGraph,
-    EdgeLabel,
     build_dc_graph,
     cov_dc,
     cov_ic,
-    edge_label,
     theta_dc,
 )
 from .errors import (
@@ -55,7 +53,6 @@ __all__ = [
     "Algorithm",
     "AttributeOutOfRange",
     "DCGraph",
-    "EdgeLabel",
     "EmptyInstance",
     "Infeasible",
     "InfeasiblePolarity",
@@ -77,7 +74,6 @@ __all__ = [
     "build_instance",
     "cov_dc",
     "cov_ic",
-    "edge_label",
     "exact_dc",
     "exact_ic",
     "greedy_dc",

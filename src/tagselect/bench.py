@@ -55,6 +55,10 @@ class RandomInstanceSpec:
     cover_min: int = 2
     cover_max: int = 6
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"instance count must be >= 1, got {self.count}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:

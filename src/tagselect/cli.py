@@ -73,6 +73,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.csv_rows < 0:
+        raise ValueError(f"csv rows must be >= 0, got {args.csv_rows}")
     config = datagen.SynthConfig(
         num_items=args.items,
         num_attrs=args.attrs,

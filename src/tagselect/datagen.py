@@ -250,38 +250,6 @@ def estimate_alpha(group: DemographicRatings) -> float:
     return min(1.0, max(0.0, alpha))
 
 
-def load_ratings_csv(path: str | Path) -> dict[str, DemographicRatings]:
-    """CSV rows of (group_key, rating, max_scale); rows aggregate by key."""
-    import csv
-
-    groups: dict[str, tuple[list[float], float]] = {}
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0] == "group_key":  # header row
-                continue
-            if len(row) != 3:
-                raise ValueError(
-                    f"line {line_no}: expected 3 columns "
-                    f"(group_key, rating, max_scale), got {len(row)}"
-                )
-            key, rating_s, scale_s = row
-            try:
-                rating, scale = float(rating_s), float(scale_s)
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-numeric rating row: {row}")
-            if key in groups and groups[key][1] != scale:
-                raise ValueError(
-                    f"line {line_no}: group {key!r} declared with conflicting max_scale"
-                )
-            groups.setdefault(key, ([], scale))[0].append(rating)
-    return {
-        key: DemographicRatings(group_key=key, ratings=tuple(vals), max_scale=scale)
-        for key, (vals, scale) in groups.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Matrix persistence
 # ---------------------------------------------------------------------------

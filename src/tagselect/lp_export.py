@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .coverage import build_dc_graph
 from .model import EPS, Instance, Params
 from .relevance import RelBenchmark, rel_max
 
@@ -76,8 +77,7 @@ def lp_dc(instance: Instance, params: Params) -> str:
     """Dependent coverage with the two-sided linearization: y_j needs a
     selected coverer on each sentiment side of the augmented graph, the two
     stand-in tags being fixed selected."""
-    only_pos = instance.pos_cover_mask & ~instance.neg_cover_mask
-    only_neg = instance.neg_cover_mask & ~instance.pos_cover_mask
+    graph = build_dc_graph(instance)
     y_names = [f"y_{j}" for j in range(instance.m)]
     lines = [
         f"\\ dependent-coverage selection model, item {instance.item_id}",
@@ -91,19 +91,11 @@ def lp_dc(instance: Instance, params: Params) -> str:
     lines.extend(_common_constraints(instance, params))
     for j in range(instance.m):
         bit = 1 << j
-        pos_cover = [
-            f"x_{t.id}"
-            for t in instance.positives()
-            if (t.mask | only_neg) & bit
-        ]
-        if only_neg & bit:
+        pos_cover = [f"x_{t.id}" for t in instance.positives() if graph.aug_mask(t) & bit]
+        if graph.only_neg_mask & bit:
             pos_cover.append("x_dp")
-        neg_cover = [
-            f"x_{t.id}"
-            for t in instance.negatives()
-            if (t.mask | only_pos) & bit
-        ]
-        if only_pos & bit:
+        neg_cover = [f"x_{t.id}" for t in instance.negatives() if graph.aug_mask(t) & bit]
+        if graph.only_pos_mask & bit:
             neg_cover.append("x_dn")
         terms_p = _sum_terms(pos_cover) + [f"- y_{j}"]
         terms_n = _sum_terms(neg_cover) + [f"- y_{j}"]

@@ -17,32 +17,28 @@ from .model import Instance, Tag, check_quotas
 
 @dataclass(frozen=True)
 class RelBenchmark:
-    """Descending per-sentiment relevances with prefix-sum arrays.
+    """Per-sentiment prefix sums of the relevances in descending order.
 
     ``prefix_pos[i]`` is the sum of the i highest positive relevances
-    (``prefix_pos[0] == 0``); likewise for negative.
+    (``prefix_pos[0] == 0``), so a side holds ``len(prefix_pos) - 1`` tags;
+    likewise for negative.
     """
 
-    sorted_pos: tuple[float, ...]
-    sorted_neg: tuple[float, ...]
     prefix_pos: tuple[float, ...]
     prefix_neg: tuple[float, ...]
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "RelBenchmark":
-        sp = tuple(sorted((t.relevance for t in instance.positives()), reverse=True))
-        sn = tuple(sorted((t.relevance for t in instance.negatives()), reverse=True))
         return cls(
-            sorted_pos=sp,
-            sorted_neg=sn,
-            prefix_pos=_prefix(sp),
-            prefix_neg=_prefix(sn),
+            prefix_pos=_prefix(t.relevance for t in instance.positives()),
+            prefix_neg=_prefix(t.relevance for t in instance.negatives()),
         )
 
 
-def _prefix(values: tuple[float, ...]) -> tuple[float, ...]:
+def _prefix(relevances: Iterable[float]) -> tuple[float, ...]:
+    """Prefix sums of the relevances in descending order, from 0."""
     out = [0.0]
-    for v in values:
+    for v in sorted(relevances, reverse=True):
         out.append(out[-1] + v)
     return tuple(out)
 
@@ -56,7 +52,7 @@ def rel_total(selection: Iterable[Tag]) -> float:
 def rel_max(benchmark: RelBenchmark, k1: int, k2: int) -> float:
     """Best relevance sum of any selection with exactly k1 positive and k2
     negative tags: the top k1 positives plus the top k2 negatives."""
-    check_quotas(k1, k2, len(benchmark.sorted_pos), len(benchmark.sorted_neg))
+    check_quotas(k1, k2, len(benchmark.prefix_pos) - 1, len(benchmark.prefix_neg) - 1)
     return benchmark.prefix_pos[k1] + benchmark.prefix_neg[k2]
 
 
@@ -68,8 +64,7 @@ def stepwise_rel_max(benchmark: RelBenchmark, k1: int, k2: int, x: int) -> float
     final (k1, k2) split does not pin down the split at size x; we take the
     best over all quota-feasible splits (p, x - p).
     """
-    n_pos = len(benchmark.sorted_pos)
-    n_neg = len(benchmark.sorted_neg)
+    n_pos, n_neg = len(benchmark.prefix_pos) - 1, len(benchmark.prefix_neg) - 1
     lo = max(0, x - min(k2, n_neg))
     hi = min(x, k1, n_pos)
     if lo > hi:

@@ -225,15 +225,16 @@ class _SideRows:
 
 
 def _side_rows(
-    tags: Sequence[Tag], k: int, graph: DCGraph, dummy: Tag, rows: int
+    tags: Sequence[Tag], k: int, graph: DCGraph, stand_in: int, rows: int
 ) -> Iterator[_SideRows]:
     """Yield the k-combinations of one side's ``tags`` as tables of at most
-    ``rows`` rows.  The empty combination stands for the side's dummy."""
+    ``rows`` rows.  The empty combination stands for the side's stand-in,
+    whose vector is ``stand_in``."""
     words = -(-graph.m // 64)
     aug = np.array(
         [
             [(x >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
-            for x in [graph.aug_mask(t) for t in (*tags, dummy)]
+            for x in [*map(graph.aug_mask, tags), stand_in]
         ],
         dtype=np.uint64,
     )
@@ -297,7 +298,7 @@ def exact_dc(
     pos_rows = max(1, _TILE_PAIRS // neg_rows)
 
     def neg_side():
-        return _side_rows(negatives, params.k2, graph, graph.dummy_neg, neg_rows)
+        return _side_rows(negatives, params.k2, graph, graph.only_pos_mask, neg_rows)
 
     # A negative side that fits one tile is built once; a larger one is
     # rebuilt for each run of positive rows rather than held whole.
@@ -306,7 +307,7 @@ def exact_dc(
     # best[0]: theta optimum, best[1]: cov_dc optimum, each as
     # ((score, -rel, pos rank, neg rank), tags) with score minimized.
     best: list = [None, None]
-    for p in _side_rows(positives, params.k1, graph, graph.dummy_pos, pos_rows):
+    for p in _side_rows(positives, params.k1, graph, graph.only_neg_mask, pos_rows):
         for n in neg_once or neg_side():
             rel = p.rel[:, None] + n.rel[None, :]
             ok = rel >= need
@@ -358,7 +359,6 @@ def greedy_dc(
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     bench = RelBenchmark.from_instance(instance)
     graph = build_dc_graph(instance)
-    aug = graph.aug_masks
 
     chosen: list[Tag] = []
     rel_so_far = 0.0
@@ -368,8 +368,11 @@ def greedy_dc(
     left = {True: params.k1, False: params.k2}
     acc = {True: (0, -1), False: (0, -1)}
     open_tags = {
-        side: [(t, t.relevance, aug[t.id]) for t in tags]
-        for side, tags in ((True, instance.positives()), (False, instance.negatives()))
+        side: [(t, t.relevance, t.mask | other) for t in tags]
+        for side, tags, other in (
+            (True, instance.positives(), graph.only_neg_mask),
+            (False, instance.negatives(), graph.only_pos_mask),
+        )
     }
 
     def take(t: Tag) -> None:
@@ -379,7 +382,8 @@ def greedy_dc(
         rel_so_far += t.relevance
         left[side] -= 1
         o, a = acc[side]
-        acc[side] = (o | aug[t.id], a & aug[t.id])
+        v = graph.aug_mask(t)
+        acc[side] = (o | v, a & v)
         open_tags[side] = [c for c in open_tags[side] if c[0] is not t]
 
     def scored(side: bool) -> list[tuple[Tag, float, int, int]]:
@@ -415,8 +419,8 @@ def greedy_dc(
         x = len(chosen) + 1
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
         fixed_or, fixed_and = acc[not side]
-        if fixed_and == -1:
-            fixed_or = fixed_and = graph.aug_mask(graph.dummy_neg if side else graph.dummy_pos)
+        if fixed_and == -1:  # the other side's stand-in
+            fixed_or = fixed_and = graph.only_pos_mask if side else graph.only_neg_mask
         best = None
         best_th, best_rel = graph.m + 1, 0.0
         for t, r, o, a in scored(side):
@@ -590,9 +594,8 @@ def bnb_dc(
     stand-ins being always selected.  The value equals ``cov_dc``, so the
     optimum equals the enumerator's dependent-coverage optimum.
     """
-    only_pos = instance.pos_cover_mask & ~instance.neg_cover_mask
-    only_neg = instance.neg_cover_mask & ~instance.pos_cover_mask
-    return _bnb(instance, params, exact_cap, (only_pos, only_neg))
+    graph = build_dc_graph(instance)
+    return _bnb(instance, params, exact_cap, (graph.only_pos_mask, graph.only_neg_mask))
 
 
 SOLVERS = {

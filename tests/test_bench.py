@@ -284,6 +284,27 @@ class TestCli:
             ], f"jobs must be >= 1, got {jobs}")
             assert not out.exists()
 
+    def test_bench_instances_below_one_is_usage_error(self, tmp_path, capsys):
+        for count in ("0", "-3"):
+            out = tmp_path / f"instances{count}.csv"
+            self.assert_usage_error(capsys, [
+                "bench", "--instances", count, "--algorithms", "a-ic", "--k-values", "2",
+                "--out", str(out),
+            ], f"instance count must be >= 1, got {count}")
+            assert not out.exists()
+
+    def test_gen_negative_csv_rows_is_usage_error(self, tmp_path, capsys):
+        small = ["gen", "--items", "50", "--attrs", "10", "--pos-tags", "3",
+                 "--neg-tags", "3", "--csv"]
+        for rows in ("-1", "-60"):
+            self.assert_usage_error(capsys, small + [
+                "--csv-rows", rows, "--out", str(tmp_path / f"rows{rows}"),
+            ], f"csv rows must be >= 0, got {rows}")
+        assert not list(tmp_path.iterdir())
+        # Zero rows is valid: the header alone.
+        assert main(small + ["--csv-rows", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert len((tmp_path / "zero.csv").read_text().splitlines()) == 1
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from tagselect import (
     Rule,
     Sentiment,
+    Tag,
     build_dc_graph,
     build_instance,
     cov_dc,
     cov_ic,
-    edge_label,
     theta_dc,
 )
-from tagselect.coverage import bits
 from tagselect.datagen import random_instance
 from tagselect.model import union_mask
 
@@ -68,6 +67,11 @@ def selections(draw):
     return inst, [inst.tags[i] for i in sorted(chosen)]
 
 
+def positions(mask):
+    """Bit positions set in ``mask``, read one position at a time."""
+    return frozenset(y for y in range(mask.bit_length()) if mask >> y & 1)
+
+
 def oracle_augmented(instance):
     """Augmented coverage sets, including the two stand-ins keyed 'dp'/'dn'."""
     all_pos = set().union(*(t.coverage for t in instance.positives()), set())
@@ -98,14 +102,6 @@ def oracle_theta(instance, selection):
         for a, b in combinations(side, 2):
             intra |= a ^ b
     return len(cross - intra)
-
-
-class TestBits:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.frozensets(st.integers(0, 300)))
-    def test_positions_round_trip(self, positions):
-        # Masks up to five words, with sparse and dense ones and the empty one.
-        assert bits(sum(1 << y for y in positions)) == positions
 
 
 class TestCovIC:
@@ -203,16 +199,29 @@ class TestCovDC:
 class TestDCGraph:
     def test_camera_one_sided_values(self, camera):
         g = build_dc_graph(camera)
-        assert g.only_pos == frozenset({2})
-        assert g.only_neg == frozenset({5})
+        assert positions(g.only_pos_mask) == frozenset({2})
+        assert positions(g.only_neg_mask) == frozenset({5})
 
     def test_camera_augmentation(self, camera):
         g = build_dc_graph(camera)
         aug = oracle_augmented(camera)
         for t in camera.tags:
-            assert g.aug_coverage(t) == aug[t.id]
-        assert g.aug_coverage(g.dummy_pos) == aug["dp"]
-        assert g.aug_coverage(g.dummy_neg) == aug["dn"]
+            assert positions(g.aug_mask(t)) == aug[t.id]
+        assert positions(g.only_neg_mask) == aug["dp"]
+        assert positions(g.only_pos_mask) == aug["dn"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(selections())
+    def test_augmentation_against_oracle(self, case):
+        # Every tag's augmented vector and both stand-in vectors, on
+        # vocabularies of up to 150 values with one side possibly empty.
+        inst, _ = case
+        g = build_dc_graph(inst)
+        aug = oracle_augmented(inst)
+        for t in inst.tags:
+            assert positions(g.aug_mask(t)) == aug[t.id]
+        assert positions(g.only_neg_mask) == aug["dp"]
+        assert positions(g.only_pos_mask) == aug["dn"]
 
     def test_two_sided_instance_augments_nothing(self):
         rules = [
@@ -221,10 +230,10 @@ class TestDCGraph:
         ]
         inst = build_instance(rules, m=2)
         g = build_dc_graph(inst)
-        assert g.only_pos == frozenset()
-        assert g.only_neg == frozenset()
+        assert g.only_pos_mask == 0
+        assert g.only_neg_mask == 0
         for t in inst.tags:
-            assert g.aug_coverage(t) == t.coverage
+            assert positions(g.aug_mask(t)) == t.coverage
 
     def test_all_positive_instance(self):
         rules = [
@@ -233,53 +242,30 @@ class TestDCGraph:
         ]
         inst = build_instance(rules, m=2)
         g = build_dc_graph(inst)
-        assert g.only_pos == frozenset({0, 1})
-        assert g.aug_coverage(g.dummy_neg) == frozenset({0, 1})
-        assert g.aug_coverage(g.dummy_pos) == frozenset()
-
-    def test_dummies_carry_no_relevance(self, camera):
-        g = build_dc_graph(camera)
-        assert g.dummy_pos.relevance == 0.0
-        assert g.dummy_neg.relevance == 0.0
+        # The negative stand-in carries both values, the positive one none.
+        assert positions(g.only_pos_mask) == frozenset({0, 1})
+        assert g.only_neg_mask == 0
 
 
 class TestEdgeLabel:
+    """An edge label is the set of values on which two augmented vectors
+    differ: the XOR of their masks."""
+
     def test_stylish_poor_battery(self, camera):
         g = build_dc_graph(camera)
         t1, t2 = pick(camera, "stylish", "poor battery life")
-        assert edge_label(g, t1, t2).differing == frozenset({5})
-
-    def test_self_edge_empty(self, camera):
-        g = build_dc_graph(camera)
-        t = pick(camera, "stylish")[0]
-        assert edge_label(g, t, t).differing == frozenset()
+        assert positions(g.aug_mask(t1) ^ g.aug_mask(t2)) == frozenset({5})
 
     def test_dummy_pair(self, camera):
+        # The two stand-ins differ on every one-sided value.
         g = build_dc_graph(camera)
-        assert edge_label(g, g.dummy_pos, g.dummy_neg).differing == frozenset({2, 5})
-
-    def test_symmetry(self, camera):
-        g = build_dc_graph(camera)
-        for a in camera.tags:
-            for b in camera.tags:
-                assert edge_label(g, a, b).differing == edge_label(g, b, a).differing
-
-    def test_triangle_inequality(self):
-        for trial in range(20):
-            inst = random_instance(seed=[404, trial], num_attrs=12, n_pos=4, n_neg=4)
-            g = build_dc_graph(inst)
-            members = list(inst.tags) + [g.dummy_pos, g.dummy_neg]
-            for a, b, c in combinations(members, 3):
-                ab = len(edge_label(g, a, b))
-                bc = len(edge_label(g, b, c))
-                ac = len(edge_label(g, a, c))
-                assert ac <= ab + bc
+        assert positions(g.only_neg_mask ^ g.only_pos_mask) == frozenset({2, 5})
 
     def test_non_member_rejected(self, camera):
         g = build_dc_graph(camera)
         other = random_instance(seed=405, num_attrs=8, n_pos=7, n_neg=7)
-        with pytest.raises(KeyError):
-            edge_label(g, camera.tags[0], other.tags[10])
+        with pytest.raises(KeyError, match=r"tag 10 \('neg-010'\) is not a member of this graph"):
+            g.aug_mask(other.tags[10])
 
 
 class TestThetaDC:
@@ -305,13 +291,13 @@ class TestThetaDC:
 
     def test_empty_selection_scores_the_dummy_edge(self, camera):
         g = build_dc_graph(camera)
-        assert theta_dc(g, []) == len(g.only_pos | g.only_neg) == 2
+        assert theta_dc(g, []) == (g.only_pos_mask | g.only_neg_mask).bit_count() == 2
 
     def test_empty_selection_on_random_instances(self):
         for trial in range(20):
             inst = random_instance(seed=[406, trial], num_attrs=14, n_pos=5, n_neg=5)
             g = build_dc_graph(inst)
-            assert theta_dc(g, []) == len(g.only_pos | g.only_neg)
+            assert theta_dc(g, []) == len(positions(g.only_pos_mask) | positions(g.only_neg_mask))
 
     def test_agrees_with_oracle_on_random_selections(self):
         rng = np.random.default_rng(10)
@@ -335,6 +321,10 @@ class TestThetaDC:
         assert theta_dc(g, sel) == len(aug[sel[0].id] ^ aug["dn"])
 
     def test_dummy_in_selection_rejected(self, camera):
+        # A tag past the instance's ids, such as a stand-in made a Tag, is
+        # not a member of the graph.
         g = build_dc_graph(camera)
-        with pytest.raises(ValueError):
-            theta_dc(g, [g.dummy_pos])
+        for tag_id, sentiment in ((camera.n, P), (camera.n + 1, N)):
+            stand_in = Tag(tag_id, "stand-in", sentiment, 0.0, frozenset())
+            with pytest.raises(KeyError, match="is not a member of this graph"):
+                theta_dc(g, [stand_in])

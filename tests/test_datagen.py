@@ -302,18 +302,6 @@ class TestEstimateAlpha:
         with pytest.raises(ValueError):
             DemographicRatings("g", (11.0,), 10.0)
 
-    def test_csv_ingestion(self, tmp_path):
-        path = tmp_path / "ratings.csv"
-        path.write_text(
-            "group_key,rating,max_scale\n"
-            "f-18-25-ca,8.0,10\n"
-            "f-18-25-ca,8.0,10\n"
-            "m-35-44-oh,4.0,10\n"
-        )
-        groups = datagen.load_ratings_csv(path)
-        assert estimate_alpha(groups["f-18-25-ca"]) == 0.8
-        assert estimate_alpha(groups["m-35-44-oh"]) == pytest.approx(0.4)
-
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -3,7 +3,10 @@ import re
 import pytest
 
 from tagselect import make_params
+from tagselect.datagen import random_instance
 from tagselect.lp_export import lp_dc, lp_ic, write_lp
+
+from test_coverage import oracle_augmented
 
 
 @pytest.fixture
@@ -72,3 +75,25 @@ def test_write_lp(tmp_path, camera, params):
     assert path.read_text().rstrip().endswith("End")
     with pytest.raises(ValueError):
         write_lp(camera, params, "nope", path)
+
+
+def test_dc_cover_rows_match_oracle_augmentation():
+    # Each cover_pos_j / cover_neg_j row lists exactly the tags of that side
+    # whose augmented coverage holds j, plus the side's stand-in when its
+    # vector holds j; one vocabulary has no negative tag.
+    cases = [
+        random_instance(seed=[611, trial], num_attrs=14, n_pos=5, n_neg=4)
+        for trial in range(4)
+    ]
+    cases.append(random_instance(seed=612, num_attrs=10, n_pos=4, n_neg=0))
+    for inst in cases:
+        text = lp_dc(inst, make_params(2, 1.0 if inst.n_neg == 0 else 0.5, 0.5, inst))
+        aug = oracle_augmented(inst)
+        for j in range(inst.m):
+            for side, positive, stand_in in (("pos", True, "dp"), ("neg", False, "dn")):
+                block = section(text, f" cover_{side}_{j}:", ">= 0")
+                expected = {f"x_{t.id}" for t in inst.tags
+                            if t.is_positive is positive and j in aug[t.id]}
+                if j in aug[stand_in]:
+                    expected.add(f"x_{stand_in}")
+                assert set(re.findall(r"x_\w+", block)) == expected

@@ -318,7 +318,9 @@ class TestBnbDC:
         selected = [inst.tags[i] for i in corrected.selection.sorted_ids()]
         assert selected == list(inst.positives())
         graph = build_dc_graph(inst)
-        vectors = [graph.aug_mask(t) for t in (*selected, graph.dummy_pos, graph.dummy_neg)]
+        # The positive stand-in's vector, then the negative one's.
+        stand_ins = [graph.only_neg_mask, graph.only_pos_mask]
+        vectors = [graph.aug_mask(t) for t in selected] + stand_ins
         printed = sum(
             1 for y in range(inst.m) if sum(v >> y & 1 for v in vectors) >= 2
         )

@@ -52,8 +52,6 @@ class RandomInstanceSpec:
     num_attrs: int = 24
     n_pos: int = 8
     n_neg: int = 8
-    cover_min: int = 2
-    cover_max: int = 6
 
     def __post_init__(self):
         if self.count < 1:
@@ -133,8 +131,6 @@ def materialize_instances(spec: SweepSpec) -> tuple[Instance, ...]:
                 num_attrs=src.num_attrs,
                 n_pos=src.n_pos,
                 n_neg=src.n_neg,
-                cover_min=src.cover_min,
-                cover_max=src.cover_max,
                 item_id=f"rand-{spec.seed}-{i:04d}",
             )
             for i in range(src.count)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -90,14 +89,8 @@ def attribute_probs(config: SynthConfig) -> np.ndarray:
 
 
 def attribute_names(config: SynthConfig) -> tuple[str, ...]:
-    return _attribute_names(config.num_attrs)
-
-
-@lru_cache(maxsize=8)
-def _attribute_names(num_attrs: int) -> tuple[str, ...]:
-    # One tuple per attribute count, shared by every instance built from it.
-    width = len(str(num_attrs - 1))
-    return tuple(f"attr{y:0{width}d}" for y in range(num_attrs))
+    width = len(str(config.num_attrs - 1))
+    return tuple(f"attr{y:0{width}d}" for y in range(config.num_attrs))
 
 
 def tag_labels(config: SynthConfig) -> tuple[str, ...]:
@@ -206,12 +199,7 @@ def sample_instance(matrix: SynthMatrix, rules: Sequence[Rule], item_row: int) -
                 kept.append(
                     Rule(restricted, rule.tag_label, rule.sentiment, rule.probability)
                 )
-    return build_instance(
-        kept,
-        m=num_attrs,
-        item_id=f"item-{item_row}",
-        attr_names=attribute_names(config),
-    )
+    return build_instance(kept, m=num_attrs, item_id=f"item-{item_row}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +292,10 @@ def load_matrix(path: str | Path) -> SynthMatrix:
 
 
 def export_matrix_csv(matrix: SynthMatrix, path: str | Path, max_rows: int | None = None) -> None:
-    """Human-inspectable CSV dump (0/1 cells with column names)."""
+    """Human-inspectable CSV dump (0/1 cells with column names) of the first
+    ``max_rows`` rows, or of every row when it is None."""
+    if max_rows is not None and max_rows < 0:
+        raise ValueError(f"max_rows must be >= 0, got {max_rows}")
     config = matrix.config
     names = list(attribute_names(config)) + list(tag_labels(config))
     rows = matrix.data if max_rows is None else matrix.data[:max_rows]

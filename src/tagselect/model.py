@@ -92,8 +92,6 @@ class Instance:
     tags: tuple[Tag, ...]
     n_pos: int
     n_neg: int
-    # Optional textual names for the attribute-value indices, for reporting.
-    attr_names: tuple[str, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -104,12 +102,6 @@ class Instance:
 
     def negatives(self) -> tuple[Tag, ...]:
         return self.tags[self.n_pos :]
-
-    def by_label(self, label: str, sentiment: Sentiment) -> Tag:
-        for t in self.tags:
-            if t.label == label and t.sentiment is sentiment:
-                return t
-        raise KeyError(f"no {sentiment} tag labeled {label!r}")
 
     @cached_property
     def pos_cover_mask(self) -> int:
@@ -179,12 +171,7 @@ def check_antecedents(rules: Sequence[Rule], m: int) -> None:
             )
 
 
-def build_instance(
-    rules: Sequence[Rule],
-    m: int,
-    item_id: str = "item",
-    attr_names: Sequence[str] | None = None,
-) -> Instance:
+def build_instance(rules: Sequence[Rule], m: int, item_id: str = "item") -> Instance:
     """Normalize raw rules into a solver-ready instance.
 
     One tag survives per (label, sentiment) pair: the rule with the highest
@@ -197,8 +184,6 @@ def build_instance(
         raise ValueError(f"universe size m must be positive, got {m}")
     if not rules:
         raise EmptyInstance(f"no rules for item {item_id!r}")
-    if attr_names is not None and len(attr_names) != m:
-        raise ValueError(f"attr_names has {len(attr_names)} entries, expected m={m}")
 
     check_antecedents(rules, m)
     # Keyed on (label, is positive): a bool hashes in C, an Enum in Python.
@@ -233,7 +218,6 @@ def build_instance(
         tags=tags,
         n_pos=len(positives),
         n_neg=len(tags) - len(positives),
-        attr_names=tuple(attr_names) if attr_names is not None else None,
     )
 
 

@@ -34,12 +34,7 @@ class RulesDocument:
     rules: tuple[Rule, ...]
 
     def build(self) -> Instance:
-        return build_instance(
-            self.rules,
-            m=len(self.attributes),
-            item_id=self.item_id,
-            attr_names=self.attributes,
-        )
+        return build_instance(self.rules, m=len(self.attributes), item_id=self.item_id)
 
 
 def _parse_header(obj: dict, line_no: int) -> tuple[str, tuple[str, ...]]:

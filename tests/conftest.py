@@ -41,7 +41,7 @@ def camera_rules() -> list[Rule]:
 
 @pytest.fixture(scope="session")
 def camera():
-    return build_instance(camera_rules(), m=8, item_id="camera", attr_names=CAMERA_ATTRS)
+    return build_instance(camera_rules(), m=8, item_id="camera")
 
 
 def by_label(instance, label):

@@ -147,12 +147,7 @@ def loop_sample_instance(matrix, rules, item_row):
         restricted = frozenset(y for y in rule.antecedent if row[y])
         if restricted:
             active.append(replace(rule, antecedent=restricted))
-    return build_instance(
-        active,
-        m=config.num_attrs,
-        item_id=f"item-{item_row}",
-        attr_names=datagen.attribute_names(config),
-    )
+    return build_instance(active, m=config.num_attrs, item_id=f"item-{item_row}")
 
 
 def outcome(fn, *args):
@@ -341,6 +336,12 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         assert len(lines) == 11
         assert lines[0].count(",") == 29
+
+    def test_csv_export_rejects_negative_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="max_rows must be >= 0"):
+            datagen.export_matrix_csv(gen_matrix(small_config(num_items=50)), path, max_rows=-1)
+        assert not path.exists()
 
 
 class TestRandomInstances:

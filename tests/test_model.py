@@ -77,8 +77,7 @@ class TestBuildInstance:
 
     def test_permutation_independence(self, camera):
         shuffled = list(reversed(camera_rules()))
-        rebuilt = build_instance(shuffled, m=8, item_id="camera",
-                                 attr_names=camera.attr_names)
+        rebuilt = build_instance(shuffled, m=8, item_id="camera")
         assert rebuilt == camera
 
     def test_idempotent_rebuild_from_own_tags(self, camera):
@@ -86,8 +85,7 @@ class TestBuildInstance:
             Rule(t.coverage, t.label, t.sentiment, t.relevance)
             for t in camera.tags
         ]
-        rebuilt = build_instance(rules, m=camera.m, item_id=camera.item_id,
-                                 attr_names=camera.attr_names)
+        rebuilt = build_instance(rules, m=camera.m, item_id=camera.item_id)
         assert rebuilt == camera
 
     def test_empty_rules_rejected(self):

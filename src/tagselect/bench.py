@@ -77,6 +77,8 @@ class SweepSpec:
             raise ValueError("at least one algorithm required")
         if not (self.k_values and self.alpha_values and self.beta_values):
             raise ValueError("at least one (k, alpha, beta) point required")
+        if self.exact_cap < 0:
+            raise ValueError(f"exact cap must be >= 0, got {self.exact_cap}")
 
 
 @dataclass

@@ -25,6 +25,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def cmd_solve(args) -> int:
+    if args.exact_cap < 0:
+        raise ValueError(f"exact cap must be >= 0, got {args.exact_cap}")
     doc = rules_io.load(args.rules)
     instance = doc.build()
     params = make_params(args.k, args.alpha, args.beta, instance)

@@ -10,7 +10,8 @@ Three quantities drive the solvers:
 * the labeled-graph objective theta — a minimization proxy for dependent
   coverage built on augmented tag vectors (:class:`DCGraph`), where an
   edge label is the set of values on which two augmented vectors differ.  It has a closed
-  form in the per-side OR and AND of those vectors (:func:`theta_mask`).
+  form in the per-side OR and AND of those vectors (:func:`theta_mask`):
+  |AND_P \\ OR_N| + |AND_N \\ OR_P|.
 
 Coverage sets live as int bitmasks over the m-value universe, so unions and
 differences are word-parallel.
@@ -91,18 +92,20 @@ def build_dc_graph(instance: Instance) -> DCGraph:
 
 
 def theta_mask(or_pos, and_pos, or_neg, and_neg):
-    """Values theta counts: those on which all selected positives agree,
-    all selected negatives agree, and the two sides disagree.
+    """Values theta counts: AND_P minus OR_N, plus AND_N minus OR_P.
 
     Takes the OR and the AND of each side's augmented vectors; an empty side
-    enters as its stand-in (OR = AND = the stand-in's vector).  A side disagrees
-    within itself exactly on OR ^ AND, the union of its intra-edge labels;
-    elsewhere each side is constant, so the union of the cross-edge labels
-    reduces to OR_P ^ OR_N there.  Symmetric in the two sides, and works
-    elementwise on Python ints and on numpy ``uint64`` word arrays alike.
+    enters as its stand-in (OR = AND = the stand-in's vector).  A value
+    counts when it is in every selected positive and in no selected
+    negative, or the reverse: there both sides are constant and disagree,
+    so it carries a cross-edge label and no intra-edge label.  Every other
+    value lies outside all cross labels or inside an intra label.  The two
+    terms are disjoint, since AND is within OR on each side.  Symmetric in
+    the two sides, and works elementwise on Python ints and on numpy
+    ``uint64`` word arrays alike: the bits above m that ``~`` sets are
+    cleared by the AND they meet.
     """
-    intra = (or_pos ^ and_pos) | (or_neg ^ and_neg)
-    return (or_pos ^ or_neg) & ~intra
+    return (and_pos & ~or_neg) | (and_neg & ~or_pos)
 
 
 def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
@@ -113,7 +116,8 @@ def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
     so the objective stays defined for one-sided and empty selections (the
     empty selection scores the two stand-ins' mutual label).  Stand-ins
     never join a side that has real members and never form intra edges.
-    Costs O(k) big-int operations through :func:`theta_mask`.
+    Costs O(k) big-int operations through :func:`theta_mask`:
+    |AND_P \\ OR_N| + |AND_N \\ OR_P| over the two sides' ORs and ANDs.
     """
     pos: list[int] = []
     neg: list[int] = []

@@ -8,6 +8,7 @@ solver calls; nothing mutates after construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -240,6 +241,10 @@ def make_params(
     k: int, alpha: float | Fraction, beta: float, instance: Instance
 ) -> Params:
     """Validate a solve request against an instance's sentiment counts."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"budget k must be an integer, got {k}") from None
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
     if not 0.0 <= float(alpha) <= 1.0:

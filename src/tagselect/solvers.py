@@ -357,10 +357,12 @@ def greedy_dc(
     42 answers sit above a zero optimum.  Theta's intra-edge subtraction is
     invisible to the myopic pair step.
 
-    The running OR and AND make scoring a candidate a constant number of
-    big-int operations, and a losing candidate costs one theta and one
-    comparison.  A step with an empty candidate pool is a dead end, as in
-    :func:`greedy_ic`, and ``exact_cap`` never refuses this route.
+    Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`).  Each
+    option carries its side's OR and AND and the complement of the OR,
+    taken once per step, so scoring a pair costs two ANDs, one OR and a
+    popcount, and a losing pair adds one comparison.  A step with an empty
+    candidate pool is a dead end, as in :func:`greedy_ic`, and
+    ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
@@ -369,14 +371,15 @@ def greedy_dc(
 
     chosen: list[Tag] = []
     rel_so_far = 0.0
+    full = (1 << graph.m) - 1
     # Per side, positives first: the quota left, the running (OR, AND) and
-    # the open candidates in id order as (tag, relevance, vector).  (0, -1),
-    # the identities of | and &, marks an open side with no member yet; a
-    # side with no quota holds its stand-in's vector, which theta_mask takes
-    # as OR = AND.
+    # the open candidates in id order as (tag, relevance, vector).  (0, full),
+    # the identities of | and & over the m values, marks an open side with
+    # no member yet; a side with no quota holds its stand-in's vector, which
+    # theta_mask takes as OR = AND.
     left = [params.k1, params.k2]
     acc = [
-        (0, -1) if q else (stand_in, stand_in)
+        (0, full) if q else (stand_in, stand_in)
         for q, stand_in in zip(left, (graph.only_neg_mask, graph.only_pos_mask))
     ]
     open_tags = [
@@ -384,8 +387,12 @@ def greedy_dc(
         [(t, t.relevance, t.mask | graph.only_pos_mask) for t in instance.negatives()],
     ]
     while len(chosen) < params.k:
+        # An option is (tag, relevance, OR, AND, full ^ OR): the complement
+        # of OR is taken once per option, not once per pair.
         pos_opts, neg_opts = [
-            [(t, r, o | v, a & v) for t, r, v in cands] if q else [(None, 0.0, o, a)]
+            [(t, r, o | v, a & v, full ^ (o | v)) for t, r, v in cands]
+            if q
+            else [(None, 0.0, o, a, full ^ o)]
             for q, (o, a), cands in zip(left, acc, open_tags)
         ]
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
@@ -396,13 +403,14 @@ def greedy_dc(
         best = None
         best_th, best_rel = graph.m + 1, 0.0
         for p in pos_opts:
-            _, rx, po, pa = p
+            _, rx, _, pa, p_out = p
             base = rel_so_far + rx
             for n in neg_opts:
-                _, ry, no, na = n
+                _, ry, _, na, n_out = n
                 if base + ry < threshold:
                     continue
-                th = theta_mask(po, pa, no, na).bit_count()
+                # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
+                th = ((pa & n_out) | (na & p_out)).bit_count()
                 if th > best_th:
                     continue
                 rel = rx + ry
@@ -410,7 +418,7 @@ def greedy_dc(
                     best, best_th, best_rel = (p, n), th, rel
         if best is None:
             break  # Dead end: the relevance filter emptied the pool mid-run.
-        for side, (t, r, o, a) in enumerate(best):
+        for side, (t, r, o, a, _) in enumerate(best):
             if t is not None:
                 chosen.append(t)
                 rel_so_far += r

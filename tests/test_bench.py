@@ -113,6 +113,9 @@ class TestRunSweep:
             small_spec(algorithms=())
         with pytest.raises(ValueError):
             small_spec(k_values=())
+        with pytest.raises(ValueError, match="exact cap must be >= 0, got -1"):
+            small_spec(exact_cap=-1)
+        small_spec(exact_cap=0)
 
 
 class TestCsv:
@@ -292,6 +295,22 @@ class TestCli:
                 "--out", str(out),
             ], f"instance count must be >= 1, got {count}")
             assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["e-ic", "a-ic"])
+    def test_solve_negative_exact_cap_is_usage_error(self, camera_rules_file, capsys, algorithm):
+        self.assert_usage_error(capsys, [
+            "solve", "--rules", str(camera_rules_file),
+            "--k", "2", "--alpha", "0.5", "--beta", "0.5", "--algorithm", algorithm,
+            "--exact-cap", "-1",
+        ], "exact cap must be >= 0, got -1")
+
+    def test_bench_negative_exact_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cap.csv"
+        self.assert_usage_error(capsys, [
+            "bench", "--instances", "1", "--algorithms", "e-ic,a-ic", "--k-values", "2",
+            "--exact-cap", "-1", "--out", str(out),
+        ], "exact cap must be >= 0, got -1")
+        assert not out.exists()
 
     def test_gen_negative_csv_rows_is_usage_error(self, tmp_path, capsys):
         small = ["gen", "--items", "50", "--attrs", "10", "--pos-tags", "3",

@@ -22,6 +22,7 @@ from tagselect import (
     cov_ic,
     theta_dc,
 )
+from tagselect.coverage import theta_mask
 from tagselect.datagen import random_instance
 from tagselect.model import union_mask
 
@@ -328,3 +329,51 @@ class TestThetaDC:
             stand_in = Tag(tag_id, "stand-in", sentiment, 0.0, frozenset())
             with pytest.raises(KeyError, match="is not a member of this graph"):
                 theta_dc(g, [stand_in])
+
+
+@st.composite
+def side_masks(draw):
+    """m and each side's (OR, AND) over one to four vectors of m bits; one
+    vector is a stand-in, whose OR equals its AND.  A vector is a set of
+    positions or its complement, so that sparse and dense vectors both
+    reach the last word."""
+    m = draw(st.integers(1, 150))
+    full = (1 << m) - 1
+    sides = []
+    for _ in range(2):
+        or_, and_ = 0, full
+        for _ in range(draw(st.integers(1, 4))):
+            v = sum(1 << i for i in draw(st.frozensets(st.integers(0, m - 1))))
+            if draw(st.booleans()):
+                v ^= full
+            or_, and_ = or_ | v, and_ & v
+        sides.append((or_, and_))
+    return m, sides
+
+
+def to_words(x, m):
+    return np.array(
+        [(x >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(-(-m // 64))], dtype=np.uint64
+    )
+
+
+def from_words(words):
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+class TestThetaMask:
+    """theta_mask gives the same values on Python ints and on uint64 word
+    arrays, where ``~`` also sets the bits above m in the last word, and
+    equals the agreement form: both sides constant, and the sides apart."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(side_masks())
+    def test_ints_words_and_agreement_form(self, case):
+        m, ((or_pos, and_pos), (or_neg, and_neg)) = case
+        on_ints = theta_mask(or_pos, and_pos, or_neg, and_neg)
+        intra = (or_pos ^ and_pos) | (or_neg ^ and_neg)
+        assert on_ints == (or_pos ^ or_neg) & ~intra
+        on_words = theta_mask(*(to_words(x, m) for x in (or_pos, and_pos, or_neg, and_neg)))
+        assert on_words.dtype == np.uint64
+        assert from_words(on_words) == on_ints
+        assert 0 <= on_ints < 1 << m

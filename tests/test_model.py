@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tagselect import (
@@ -135,6 +136,16 @@ class TestParams:
             make_params(10, 0.5, 0.5, camera)
         assert exc.value.pos_deficit == 2
         assert exc.value.neg_deficit == 2
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_non_integer_budget_rejected(self, camera, k):
+        with pytest.raises(ValueError, match=f"budget k must be an integer, got {k}$"):
+            make_params(k, 0.5, 0.5, camera)
+
+    def test_numpy_integer_budget_accepted(self, camera):
+        params = make_params(np.int64(2), 0.5, 0.5, camera)
+        assert (params.k, params.k1, params.k2) == (2, 1, 1)
+        assert type(params.k) is int
 
     def test_argument_validation(self, camera):
         with pytest.raises(ValueError):

@@ -382,11 +382,12 @@ class TestBnbPinned:
             self.check(*random_case_pinned(seed), ic, dc)
 
 
-def draw_vocabulary(draw, max_m, max_side):
+def draw_vocabulary(draw, max_m, max_side, m=None):
     """Up to ``max_side`` tags per side, possibly one side only, over at
-    most ``max_m`` values, with tied relevances and, at times, one coverage
-    size for every tag."""
-    m = draw(st.integers(1, max_m))
+    most ``max_m`` values (exactly ``m`` when given), with tied relevances
+    and, at times, one coverage size for every tag."""
+    if m is None:
+        m = draw(st.integers(1, max_m))
     n_pos = draw(st.integers(0, max_side))
     n_neg = draw(st.integers(0 if n_pos else 1, max_side))
     size = draw(st.none() | st.integers(1, m))
@@ -544,6 +545,29 @@ class TestGreedyAgainstReference:
     def test_answers_match(self, case):
         inst, params = case
         assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
+        assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+
+@st.composite
+def wide_greedy_cases(draw):
+    """As :func:`greedy_cases`, over up to 150 values, so that the masks
+    span more than one 64-bit word; the word edges 63, 64, 65 and 128 are
+    drawn often."""
+    m = draw(st.sampled_from((63, 64, 65, 128)) | st.integers(1, 150))
+    inst = draw_vocabulary(draw, 150, 8, m=m)
+    k1 = draw(st.integers(0 if inst.n_neg else 1, inst.n_pos))
+    k2 = draw(st.integers(0 if k1 else 1, inst.n_neg))
+    return inst, Params(k1 + k2, k1 / (k1 + k2), draw(st.sampled_from(BETAS)), k1, k2)
+
+
+class TestGreedyDCBeyondOneWord:
+    """greedy_dc scores pairs against the complement of each option's OR
+    within the m values; the reference scores with theta_dc."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(wide_greedy_cases())
+    def test_answers_match(self, case):
+        inst, params = case
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
 
 

@@ -23,7 +23,7 @@ from .coverage import cov_dc, cov_ic
 from .errors import Infeasible, InfeasiblePolarity, InstanceTooLarge
 from .model import Instance, make_params
 from .solvers import SOLVERS, Algorithm, SolveReport
-from .datagen import random_instance
+from .datagen import check_random_sizes, random_instance
 
 # How a solve ended: an answer, a greedy dead end, or one of the refusals
 # below.  An unreachable relevance bound is raised by the exact routes only.
@@ -56,6 +56,7 @@ class RandomInstanceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"instance count must be >= 1, got {self.count}")
+        check_random_sizes(self.num_attrs, self.n_pos, self.n_neg)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,8 @@ def _solve_point(args) -> BenchRow:
         coverage_proportion=0.0, rel_total=0.0, wall_time=0.0,
         approx_ratio=None, outcome="ok",
     )
-    denom = cov_ic(instance.tags)  # values appearing in any rule
+    # Values appearing in any rule.
+    denom = (instance.pos_cover_mask | instance.neg_cover_mask).bit_count()
     try:
         params = make_params(k, alpha, beta, instance)
         report = SOLVERS[algorithm](instance, params, exact_cap=exact_cap)

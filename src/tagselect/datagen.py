@@ -310,6 +310,15 @@ def export_matrix_csv(matrix: SynthMatrix, path: str | Path, max_rows: int | Non
 # ---------------------------------------------------------------------------
 
 
+def check_random_sizes(num_attrs: int, n_pos: int, n_neg: int) -> None:
+    """Refuse a random vocabulary over no attributes or with a negative tag
+    count."""
+    if num_attrs < 1:
+        raise ValueError(f"attribute count must be >= 1, got {num_attrs}")
+    if n_pos < 0 or n_neg < 0:
+        raise ValueError(f"tag counts must be >= 0, got {n_pos} positive and {n_neg} negative")
+
+
 def random_rules(
     rng: np.random.Generator,
     num_attrs: int,
@@ -324,6 +333,7 @@ def random_rules(
     are deterministic given their antecedent), so solver sweeps that
     exercise the relevance constraint draw instances from this source.
     """
+    check_random_sizes(num_attrs, n_pos, n_neg)
     cover_max = min(cover_max, num_attrs)
     cover_min = min(cover_min, cover_max)
     rules = []

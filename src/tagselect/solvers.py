@@ -31,7 +31,7 @@ import numpy as np
 
 from .coverage import DCGraph, build_dc_graph, theta_dc, theta_mask
 from .errors import Infeasible, InstanceTooLarge
-from .model import EPS, Instance, Params, Selection, Tag, check_quotas
+from .model import EPS, Instance, Params, Selection, Tag, check_quotas, union_mask
 from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
 
 DEFAULT_EXACT_CAP = 30
@@ -113,26 +113,33 @@ def exact_ic(
 ) -> SolveReport:
     """Enumerate every subset with exactly k1 positives and k2 negatives and
     return the one maximizing independent coverage under the relevance bound.
+
+    The negative side's k2-combinations become a table of (relevance sum,
+    OR of masks, tags), built once per solve, so a pair costs one add, one
+    OR and a popcount.  Past ``_TILE_PAIRS`` combinations the table is not
+    held but rebuilt for each positive combination.  ``nodes_explored``
+    counts every (positive, negative) pair either way.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
+    negatives = instance.negatives()
+
+    def neg_side():
+        for neg in combinations(negatives, params.k2):
+            yield sum(t.relevance for t in neg), union_mask(neg), neg
+
+    n_neg_rows = comb(len(negatives), params.k2)
+    neg_once = list(neg_side()) if n_neg_rows <= _TILE_PAIRS else None
 
     best: tuple[int, float, tuple[Tag, ...]] | None = None
-    nodes = 0
     for pos in combinations(instance.positives(), params.k1):
         pos_rel = sum(t.relevance for t in pos)
-        pos_mask = 0
-        for t in pos:
-            pos_mask |= t.mask
-        for neg in combinations(instance.negatives(), params.k2):
-            nodes += 1
-            rel = pos_rel + sum(t.relevance for t in neg)
+        pos_mask = union_mask(pos)
+        for neg_rel, neg_mask, neg in neg_once or neg_side():
+            rel = pos_rel + neg_rel
             if rel < need:
                 continue
-            mask = pos_mask
-            for t in neg:
-                mask |= t.mask
-            cov = mask.bit_count()
+            cov = (pos_mask | neg_mask).bit_count()
             # Enumeration order is lexicographic in tag ids, so replacing
             # only on strict improvement keeps the smallest id set on ties.
             if best is None or cov > best[0] or (cov == best[0] and rel > best[1]):
@@ -142,7 +149,7 @@ def exact_ic(
         algorithm=Algorithm.E_IC,
         selection=_selection(chosen, "cov_ic", cov, True),
         wall_time=time.perf_counter() - t0,
-        nodes_explored=nodes,
+        nodes_explored=comb(instance.n_pos, params.k1) * n_neg_rows,
     )
 
 
@@ -207,8 +214,9 @@ def greedy_ic(
 
 
 # Cells of the (positive combination, negative combination) grid that
-# exact_dc scores in one numpy tile; bounds its working memory whatever the
-# size of each side.
+# exact_dc scores in one numpy tile, and the most negative combinations
+# exact_ic holds as a table; bounds their working memory whatever the size
+# of each side.
 _TILE_PAIRS = 1 << 16
 
 

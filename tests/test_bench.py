@@ -296,6 +296,23 @@ class TestCli:
             ], f"instance count must be >= 1, got {count}")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--pos", "-1", "tag counts must be >= 0, got -1 positive and 8 negative"),
+            ("--neg", "-3", "tag counts must be >= 0, got 8 positive and -3 negative"),
+            ("--attrs", "0", "attribute count must be >= 1, got 0"),
+            ("--attrs", "-2", "attribute count must be >= 1, got -2"),
+        ],
+    )
+    def test_bench_bad_instance_size_is_usage_error(self, tmp_path, capsys, flag, value, fragment):
+        out = tmp_path / "sizes.csv"
+        self.assert_usage_error(capsys, [
+            "bench", "--instances", "1", "--algorithms", "a-ic", "--k-values", "2",
+            flag, value, "--out", str(out),
+        ], fragment)
+        assert not out.exists()
+
     @pytest.mark.parametrize("algorithm", ["e-ic", "a-ic"])
     def test_solve_negative_exact_cap_is_usage_error(self, camera_rules_file, capsys, algorithm):
         self.assert_usage_error(capsys, [

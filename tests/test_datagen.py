@@ -16,6 +16,7 @@ from tagselect.datagen import (
     extract_rules,
     gen_matrix,
     random_instance,
+    random_rules,
     sample_instance,
 )
 from tagselect.errors import TagSelectError
@@ -349,6 +350,22 @@ class TestRandomInstances:
         a = random_instance(seed=99, num_attrs=16, n_pos=6, n_neg=6)
         b = random_instance(seed=99, num_attrs=16, n_pos=6, n_neg=6)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "sizes, fragment",
+        [
+            ((16, -1, 4), "tag counts must be >= 0, got -1 positive and 4 negative"),
+            ((16, 6, -2), "tag counts must be >= 0, got 6 positive and -2 negative"),
+            ((0, 6, 4), "attribute count must be >= 1, got 0"),
+            ((-2, 6, 4), "attribute count must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, sizes, fragment):
+        num_attrs, n_pos, n_neg = sizes
+        with pytest.raises(ValueError, match=fragment):
+            random_instance(seed=1, num_attrs=num_attrs, n_pos=n_pos, n_neg=n_neg)
+        with pytest.raises(ValueError, match=fragment):
+            random_rules(np.random.default_rng(1), num_attrs, n_pos, n_neg)
 
     def test_shape(self):
         inst = random_instance(seed=1, num_attrs=16, n_pos=6, n_neg=4)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -534,6 +535,52 @@ def greedy_outcome(report):
     return sel.sorted_ids(), sel.objective_value, sel.feasible, sel.rel_total
 
 
+def reference_exact_ic(inst, params):
+    """Every quota-feasible subset in id order, replaced only on a strictly
+    larger (coverage, relevance).  Relevance is added per side and then
+    summed, as the enumerator adds it, so that ties compare equal floats."""
+    need = params.beta * rel_max(RelBenchmark.from_instance(inst), params.k1, params.k2) - EPS
+    best_key = best = None
+    visited = 0
+    for subset in itertools.combinations(inst.tags, params.k):
+        pos = [t for t in subset if t.is_positive]
+        if len(pos) != params.k1:
+            continue
+        visited += 1
+        neg = [t for t in subset if not t.is_positive]
+        rel = sum(t.relevance for t in pos) + sum(t.relevance for t in neg)
+        if rel < need:
+            continue
+        key = (cov_ic(subset), rel)
+        if best_key is None or key > best_key:
+            best_key, best = key, subset
+    if best is None:
+        return f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
+    return tuple(t.id for t in best), best_key[0], rel_total(best), visited
+
+
+def exact_ic_outcome(inst, params):
+    try:
+        report = exact_ic(inst, params)
+    except Infeasible as exc:
+        return str(exc)
+    sel = report.selection
+    return sel.sorted_ids(), sel.objective_value, sel.rel_total, report.nodes_explored
+
+
+class TestExactICAgainstReference:
+    """The enumerator pairs each positive combination with a table of the
+    negative ones; the reference scans whole subsets.  Tied relevances,
+    one-sided quotas and vocabularies, and a bound above the best relevance
+    all occur."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(greedy_cases())
+    def test_answers_match(self, case):
+        inst, params = case
+        assert exact_ic_outcome(inst, params) == reference_exact_ic(inst, params)
+
+
 class TestGreedyAgainstReference:
     """The greedy candidate loops compare theta (or coverage) first and
     build no key; the reference builds the whole tuple key each time.  Equal
@@ -861,6 +908,27 @@ class TestICPinned:
                 report.nodes_explored,
             )
             assert outcome == pin, seed
+
+    def test_exact_ic_streamed_negatives(self, monkeypatch):
+        # A table of one or three negative combinations: nearly every case
+        # rebuilds its negatives for each positive combination, and the
+        # cases of few negative combinations still take the table.
+        for tile in (1, 3):
+            monkeypatch.setattr(solvers, "_TILE_PAIRS", tile)
+            for seed, (pin, _) in enumerate(IC_PINS):
+                inst, params = pinned_ic_case(seed)
+                try:
+                    report = exact_ic(inst, params)
+                except Infeasible as exc:
+                    assert str(exc) == pin, (tile, seed)
+                    continue
+                outcome = (
+                    report.selection.sorted_ids(),
+                    report.objective_value,
+                    report.rel_total,
+                    report.nodes_explored,
+                )
+                assert outcome == pin, (tile, seed)
 
     def test_greedy_ic(self):
         for seed, (_, pin) in enumerate(IC_PINS):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -616,6 +617,75 @@ class TestGreedyDCBeyondOneWord:
     def test_answers_match(self, case):
         inst, params = case
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+
+def reference_exact_dc(inst, params):
+    """Every quota-feasible subset in id order, scored by theta_dc and
+    cov_dc on the whole subset; each optimum is replaced only on a strictly
+    better (objective, relevance).  Relevance is added per side and then
+    summed, as the enumerator adds it."""
+    need = params.beta * rel_max(RelBenchmark.from_instance(inst), params.k1, params.k2) - EPS
+    graph = build_dc_graph(inst)
+    best = [None, None]  # (theta, -rel) and (-cov_dc, -rel) keys with their subsets
+    visited = 0
+    for subset in itertools.combinations(inst.tags, params.k):
+        pos = [t for t in subset if t.is_positive]
+        if len(pos) != params.k1:
+            continue
+        visited += 1
+        neg = [t for t in subset if not t.is_positive]
+        rel = sum(t.relevance for t in pos) + sum(t.relevance for t in neg)
+        if rel < need:
+            continue
+        for slot, score in enumerate((theta_dc(graph, subset), -cov_dc(subset, inst))):
+            if best[slot] is None or (score, -rel) < best[slot][0]:
+                best[slot] = ((score, -rel), subset)
+    if best[0] is None:
+        return f"no quota-feasible subset reaches relevance {need + EPS:.6g}"
+    (th, _), th_tags = best[0]
+    (neg_cv, _), cv_tags = best[1]
+    return (
+        tuple(t.id for t in th_tags), th, rel_total(th_tags),
+        tuple(t.id for t in cv_tags), -neg_cv, rel_total(cv_tags),
+        visited,
+    )
+
+
+def exact_dc_outcome(inst, params):
+    try:
+        report = exact_dc(inst, params)
+    except Infeasible as exc:
+        return str(exc)
+    th, cv = report.selection, report.covdc_selection
+    return (
+        th.sorted_ids(), th.objective_value, th.rel_total,
+        cv.sorted_ids(), cv.objective_value, cv.rel_total,
+        report.nodes_explored,
+    )
+
+
+class TestExactDCAgainstReference:
+    """The enumerator pairs side tables of combinations; the reference scans
+    whole subsets with theta_dc and cov_dc.  A one-combination table
+    re-streams the negatives for every positive combination.  Tied
+    relevances, one-sided quotas and vocabularies, masks of more than one
+    64-bit word and a bound above the best relevance all occur."""
+
+    @pytest.mark.parametrize("tile", [solvers._TILE_PAIRS, 1])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(greedy_cases())
+    def test_answers_match(self, tile, case):
+        inst, params = case
+        with mock.patch.object(solvers, "_TILE_PAIRS", tile):
+            assert exact_dc_outcome(inst, params) == reference_exact_dc(inst, params)
+
+    @pytest.mark.parametrize("tile", [solvers._TILE_PAIRS, 1])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(wide_greedy_cases())
+    def test_answers_match_beyond_one_word(self, tile, case):
+        inst, params = case
+        with mock.patch.object(solvers, "_TILE_PAIRS", tile):
+            assert exact_dc_outcome(inst, params) == reference_exact_dc(inst, params)
 
 
 @st.composite

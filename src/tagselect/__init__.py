@@ -7,6 +7,8 @@ coverage objectives (sentiment-blind or both-sides).  Ships exhaustive,
 branch-and-bound, and greedy solvers plus a benchmark harness.
 """
 
+# Loads numpy, whose time perfbench's cli.import_numpy_s probe reads; ROADMAP item 4 drops this.
+from . import datagen  # noqa: F401
 from .coverage import (
     DCGraph,
     build_dc_graph,

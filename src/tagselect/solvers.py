@@ -23,15 +23,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations, islice
-from math import comb, isqrt
-from typing import Iterator, Sequence
+from functools import reduce
+from itertools import accumulate, combinations
+from math import comb
+from operator import and_, attrgetter, or_
+from typing import Callable, Sequence
 
-import numpy as np
-
-from .coverage import DCGraph, build_dc_graph, theta_dc, theta_mask
+from .coverage import build_dc_graph, theta_dc
 from .errors import Infeasible, InstanceTooLarge
-from .model import EPS, Instance, Params, Selection, Tag, check_quotas, union_mask
+from .model import EPS, Instance, Params, Selection, Tag, check_quotas
 from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
 
 DEFAULT_EXACT_CAP = 30
@@ -103,6 +103,45 @@ def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Se
     )
 
 
+# The most negative combinations an enumerator holds as a table; past it
+# the negatives are rebuilt for each positive combination, which bounds the
+# table's memory whatever the size of the side.
+_TILE_PAIRS = 1 << 16
+
+
+def _side_rows(tags: Sequence[Tag], k: int, vector: Callable[[Tag], int], stand_in: int):
+    """Yield the k-combinations of one side's ``tags`` in ``combinations``
+    order as rows (relevance sum, OR, AND, complement of OR, tags) of the
+    tags' ``vector``.  The relevance sum is the scalar ``sum`` in tag order,
+    so that ties on relevance stay bit-exact.  The empty combination stands
+    for the side's stand-in, whose OR and AND are ``stand_in``."""
+    if not k:
+        yield 0, stand_in, stand_in, ~stand_in, ()
+        return
+    # combinations of equally long sequences align, so each step gives one
+    # combination's tags, relevances and vectors.
+    for chosen, rels, vectors in zip(
+        combinations(tags, k),
+        combinations([t.relevance for t in tags], k),
+        combinations([vector(t) for t in tags], k),
+    ):
+        any_ = reduce(or_, vectors)
+        yield sum(rels), any_, reduce(and_, vectors), ~any_, chosen
+
+
+def _negative_passes(instance: Instance, k: int, vector: Callable[[Tag], int], stand_in: int):
+    """A function returning the negative side's rows (:func:`_side_rows`)
+    for one pass: one list, built at most once, when there are at most
+    ``_TILE_PAIRS`` rows, else a fresh stream on each call."""
+    negatives = instance.negatives()
+
+    def stream():
+        return _side_rows(negatives, k, vector, stand_in)
+
+    held = list(stream()) if comb(len(negatives), k) <= _TILE_PAIRS else None
+    return lambda: held or stream()
+
+
 # ---------------------------------------------------------------------------
 # Independent coverage
 # ---------------------------------------------------------------------------
@@ -114,42 +153,35 @@ def exact_ic(
     """Enumerate every subset with exactly k1 positives and k2 negatives and
     return the one maximizing independent coverage under the relevance bound.
 
-    The negative side's k2-combinations become a table of (relevance sum,
-    OR of masks, tags), built once per solve, so a pair costs one add, one
-    OR and a popcount.  Past ``_TILE_PAIRS`` combinations the table is not
-    held but rebuilt for each positive combination.  ``nodes_explored``
-    counts every (positive, negative) pair either way.
+    Each positive combination is paired with a table of the negative
+    side's k2-combinations, as (relevance sum, OR of masks, tags), held
+    once per solve up to ``_TILE_PAIRS`` rows and rebuilt for each positive
+    combination past that; :func:`exact_dc` uses the same table.  A pair
+    costs one add, one OR and a popcount.  ``nodes_explored`` counts every
+    (positive, negative) pair.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
-    negatives = instance.negatives()
+    mask = attrgetter("mask")
+    neg_rows = _negative_passes(instance, params.k2, mask, 0)
 
-    def neg_side():
-        for neg in combinations(negatives, params.k2):
-            yield sum(t.relevance for t in neg), union_mask(neg), neg
-
-    n_neg_rows = comb(len(negatives), params.k2)
-    neg_once = list(neg_side()) if n_neg_rows <= _TILE_PAIRS else None
-
-    best: tuple[int, float, tuple[Tag, ...]] | None = None
-    for pos in combinations(instance.positives(), params.k1):
-        pos_rel = sum(t.relevance for t in pos)
-        pos_mask = union_mask(pos)
-        for neg_rel, neg_mask, neg in neg_once or neg_side():
+    # -1 is below every coverage.
+    best, best_cov, best_rel = None, -1, 0.0
+    for pos_rel, pos_mask, _, _, pos in _side_rows(instance.positives(), params.k1, mask, 0):
+        for neg_rel, neg_mask, _, _, neg in neg_rows():
             rel = pos_rel + neg_rel
             if rel < need:
                 continue
             cov = (pos_mask | neg_mask).bit_count()
             # Enumeration order is lexicographic in tag ids, so replacing
             # only on strict improvement keeps the smallest id set on ties.
-            if best is None or cov > best[0] or (cov == best[0] and rel > best[1]):
-                best = (cov, rel, pos + neg)
-    cov, _, chosen = _reached(best, need)
+            if cov >= best_cov and (cov > best_cov or rel > best_rel):
+                best, best_cov, best_rel = pos + neg, cov, rel
     return SolveReport(
         algorithm=Algorithm.E_IC,
-        selection=_selection(chosen, "cov_ic", cov, True),
+        selection=_selection(_reached(best, need), "cov_ic", best_cov, True),
         wall_time=time.perf_counter() - t0,
-        nodes_explored=comb(instance.n_pos, params.k1) * n_neg_rows,
+        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
     )
 
 
@@ -213,69 +245,6 @@ def greedy_ic(
 # ---------------------------------------------------------------------------
 
 
-# Cells of the (positive combination, negative combination) grid that
-# exact_dc scores in one numpy tile, and the most negative combinations
-# exact_ic holds as a table; bounds their working memory whatever the size
-# of each side.
-_TILE_PAIRS = 1 << 16
-
-
-@dataclass(frozen=True)
-class _SideRows:
-    """A run of one side's k-combinations, in ``combinations`` order from
-    rank ``start``, as tables with one row per combination."""
-
-    start: int
-    combos: list[tuple[int, ...]]  # indices into the side's tags
-    aug_or: np.ndarray  # (rows, words): OR of the augmented vectors
-    aug_and: np.ndarray  # (rows, words): AND of the augmented vectors
-    rel: np.ndarray  # (rows,): relevance sum, added in tag order
-
-
-def _side_rows(
-    tags: Sequence[Tag], k: int, graph: DCGraph, stand_in: int, rows: int
-) -> Iterator[_SideRows]:
-    """Yield the k-combinations of one side's ``tags`` as tables of at most
-    ``rows`` rows.  The empty combination stands for the side's stand-in,
-    whose vector is ``stand_in``."""
-    words = -(-graph.m // 64)
-    aug = np.array(
-        [
-            [(x >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
-            for x in [*map(graph.aug_mask, tags), stand_in]
-        ],
-        dtype=np.uint64,
-    )
-    rels = [t.relevance for t in tags]
-    combos = combinations(range(len(tags)), k)
-    start = 0
-    while block := list(islice(combos, rows)):
-        members = np.array(block, dtype=np.intp) if k else np.full((len(block), 1), len(tags))
-        yield _SideRows(
-            start=start,
-            combos=block,
-            aug_or=np.bitwise_or.reduce(aug[members], axis=1),
-            aug_and=np.bitwise_and.reduce(aug[members], axis=1),
-            # The scalar sum, so that ties on relevance stay bit-exact.
-            rel=np.array([sum(map(rels.__getitem__, c)) for c in block], dtype=np.float64),
-        )
-        start += len(block)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def _tile_best(score: np.ndarray, rel: np.ndarray, ok: np.ndarray) -> tuple[int, float, int, int]:
-    """(score, -rel, row, column) of the cell minimizing score, then
-    maximizing relevance, then first in row-major order, among ``ok`` cells."""
-    s = score[ok].min()
-    tie = ok & (score == s)
-    r = rel[tie].max()
-    i, j = np.argwhere(tie & (rel == r))[0]
-    return int(s), -float(r), int(i), int(j)
-
-
 def exact_dc(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
@@ -287,59 +256,42 @@ def exact_dc(
     maximizing dependent coverage on the instance; the enumeration does not
     assume that and evaluates both objectives independently.
 
-    Each side's combinations become tables of their augmented OR and AND
-    and relevance; the two sides are joined tile by tile with numpy, at most
-    ``_TILE_PAIRS`` pairs at a time.  Theta comes from ``theta_mask`` and
-    dependent coverage is ``popcount(OR_P & OR_N)`` of the augmented ORs,
-    the two-sided form ``bnb_dc`` maximizes.  Ties resolve as in a pairwise
-    scan: objective, then larger relevance, then the earlier (positive,
+    Each positive combination is paired with the negative side's table, as
+    in :func:`exact_ic`, over augmented vectors, an empty side entering as
+    its stand-in.  Theta is :func:`theta_mask` inline, against the
+    complement of each combination's OR, and dependent coverage is
+    ``popcount(OR_P & OR_N)``, the two-sided form ``bnb_dc`` maximizes.
+    Each optimum is replaced only on a strictly better objective, or an
+    equal one and a larger relevance, so ties keep the earlier (positive,
     negative) combination.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     graph = build_dc_graph(instance)
-    positives, negatives = instance.positives(), instance.negatives()
+    neg_rows = _negative_passes(instance, params.k2, graph.aug_mask, graph.only_pos_mask)
 
-    n_pos_rows = comb(len(positives), params.k1)
-    n_neg_rows = comb(len(negatives), params.k2)
-    neg_rows = min(n_neg_rows, max(_TILE_PAIRS // n_pos_rows, isqrt(_TILE_PAIRS)))
-    pos_rows = max(1, _TILE_PAIRS // neg_rows)
-
-    def neg_side():
-        return _side_rows(negatives, params.k2, graph, graph.only_pos_mask, neg_rows)
-
-    # A negative side that fits one tile is built once; a larger one is
-    # rebuilt for each run of positive rows rather than held whole.
-    neg_once = list(neg_side()) if neg_rows == n_neg_rows else None
-
-    # best[0]: theta optimum, best[1]: cov_dc optimum, each as
-    # ((score, -rel, pos rank, neg rank), tags) with score minimized.
-    best: list = [None, None]
-    for p in _side_rows(positives, params.k1, graph, graph.only_neg_mask, pos_rows):
-        for n in neg_once or neg_side():
-            rel = p.rel[:, None] + n.rel[None, :]
-            ok = rel >= need
-            if not ok.any():
+    # graph.m + 1 exceeds every theta and -1 is below every cov_dc.
+    th_best, th_val, th_rel = None, graph.m + 1, 0.0
+    cv_best, cv_val, cv_rel = None, -1, 0.0
+    for pos_rel, po, pa, p_out, pos in _side_rows(
+        instance.positives(), params.k1, graph.aug_mask, graph.only_neg_mask
+    ):
+        for neg_rel, no, na, n_out, neg in neg_rows():
+            rel = pos_rel + neg_rel
+            if rel < need:
                 continue
-            th = _popcount(theta_mask(
-                p.aug_or[:, None], p.aug_and[:, None], n.aug_or[None, :], n.aug_and[None, :]
-            ))
-            cv = _popcount(p.aug_or[:, None] & n.aug_or[None, :])
-            for slot, score in enumerate((th, -cv)):
-                s, r, i, j = _tile_best(score, rel, ok)
-                key = (s, r, p.start + i, n.start + j)
-                if best[slot] is None or key < best[slot][0]:
-                    chosen = [positives[x] for x in p.combos[i]]
-                    chosen += [negatives[x] for x in n.combos[j]]
-                    best[slot] = (key, tuple(chosen))
-    (th, *_), th_tags = _reached(best[0], need)
-    (neg_cv, *_), cv_tags = best[1]
+            th = ((pa & n_out) | (na & p_out)).bit_count()
+            if th <= th_val and (th < th_val or rel > th_rel):
+                th_best, th_val, th_rel = pos + neg, th, rel
+            cv = (po & no).bit_count()
+            if cv >= cv_val and (cv > cv_val or rel > cv_rel):
+                cv_best, cv_val, cv_rel = pos + neg, cv, rel
     return SolveReport(
         algorithm=Algorithm.E_DC,
-        selection=_selection(th_tags, "theta_dc", th, True),
+        selection=_selection(_reached(th_best, need), "theta_dc", th_val, True),
         wall_time=time.perf_counter() - t0,
-        nodes_explored=n_pos_rows * n_neg_rows,
-        covdc_selection=_selection(cv_tags, "cov_dc", -neg_cv, True),
+        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
+        covdc_selection=_selection(cv_best, "cov_dc", cv_val, True),
     )
 
 

@@ -44,6 +44,8 @@ class SynthConfig:
             raise ValueError("num_items and num_attrs must be positive")
         if self.num_pos_tags < 0 or self.num_neg_tags < 0:
             raise ValueError("tag counts must be non-negative")
+        if not self.group_probs:
+            raise ValueError("group_probs must hold at least one probability")
         if not all(0.0 <= p <= 1.0 for p in self.group_probs):
             raise ValueError(f"group_probs must lie in [0, 1]: {self.group_probs}")
         if not 1 <= self.corr_min <= self.corr_max <= self.num_attrs:
@@ -334,6 +336,11 @@ def random_rules(
     exercise the relevance constraint draw instances from this source.
     """
     check_random_sizes(num_attrs, n_pos, n_neg)
+    if cover_min < 1 or cover_max < cover_min:
+        raise ValueError(
+            f"coverage sizes must satisfy 1 <= cover_min <= cover_max, "
+            f"got cover_min={cover_min} and cover_max={cover_max}"
+        )
     cover_max = min(cover_max, num_attrs)
     cover_min = min(cover_min, cover_max)
     rules = []

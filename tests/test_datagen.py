@@ -95,6 +95,8 @@ class TestGenMatrix:
             SynthConfig(num_items=10, group_probs=(0.5, 1.5, 0.1, 0.1))
         with pytest.raises(ValueError):
             SynthConfig(num_items=10, num_attrs=4, corr_min=3, corr_max=8)
+        with pytest.raises(ValueError, match="group_probs must hold at least one"):
+            SynthConfig(num_items=10, group_probs=())
 
 
 class TestCatalogue:
@@ -366,6 +368,19 @@ class TestRandomInstances:
             random_instance(seed=1, num_attrs=num_attrs, n_pos=n_pos, n_neg=n_neg)
         with pytest.raises(ValueError, match=fragment):
             random_rules(np.random.default_rng(1), num_attrs, n_pos, n_neg)
+
+    @pytest.mark.parametrize("cover", [(0, 0), (2, 0), (-3, -1), (0, 6), (5, 4)])
+    def test_bad_cover_sizes_rejected(self, cover):
+        cover_min, cover_max = cover
+        fragment = rf"got cover_min={cover_min} and cover_max={cover_max}"
+        with pytest.raises(ValueError, match=fragment):
+            random_instance(seed=1, num_attrs=16, cover_min=cover_min, cover_max=cover_max)
+        with pytest.raises(ValueError, match=fragment):
+            random_rules(np.random.default_rng(1), 16, 6, 4, cover_min, cover_max)
+
+    def test_cover_max_clamped_to_attributes(self):
+        inst = random_instance(seed=1, num_attrs=3, n_pos=4, n_neg=4, cover_min=2, cover_max=9)
+        assert all(2 <= len(t.coverage) <= 3 for t in inst.tags)
 
     def test_shape(self):
         inst = random_instance(seed=1, num_attrs=16, n_pos=6, n_neg=4)

@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-values", type=_parse_floats, default=(0.5,))
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=18)
+    p.add_argument("--exact-cap", type=int, default=bench_mod.SweepSpec.exact_cap)
     p.add_argument("--assert-bounds", action="store_true",
                    help="fail if any approximation ratio exceeds 2")
     p.add_argument("--jobs", type=int, default=1)

@@ -23,10 +23,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+import operator
 from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
-from operator import and_, attrgetter, or_
 from typing import Callable, Sequence
 
 from .coverage import build_dc_graph, theta_dc
@@ -125,8 +125,8 @@ def _side_rows(tags: Sequence[Tag], k: int, vector: Callable[[Tag], int], stand_
         combinations([t.relevance for t in tags], k),
         combinations([vector(t) for t in tags], k),
     ):
-        any_ = reduce(or_, vectors)
-        yield sum(rels), any_, reduce(and_, vectors), ~any_, chosen
+        union = reduce(operator.or_, vectors)
+        yield sum(rels), union, reduce(operator.and_, vectors), ~union, chosen
 
 
 def _negative_passes(instance: Instance, k: int, vector: Callable[[Tag], int], stand_in: int):
@@ -154,15 +154,15 @@ def exact_ic(
     return the one maximizing independent coverage under the relevance bound.
 
     Each positive combination is paired with a table of the negative
-    side's k2-combinations, as (relevance sum, OR of masks, tags), held
-    once per solve up to ``_TILE_PAIRS`` rows and rebuilt for each positive
-    combination past that; :func:`exact_dc` uses the same table.  A pair
-    costs one add, one OR and a popcount.  ``nodes_explored`` counts every
-    (positive, negative) pair.
+    side's k2-combinations (:func:`_side_rows` over the coverage masks),
+    held once per solve up to ``_TILE_PAIRS`` rows and rebuilt for each
+    positive combination past that; :func:`exact_dc` pairs the same table
+    over its own vectors.  A pair costs one add, one OR and a popcount.
+    ``nodes_explored`` counts every (positive, negative) pair.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
-    mask = attrgetter("mask")
+    mask = operator.attrgetter("mask")
     neg_rows = _negative_passes(instance, params.k2, mask, 0)
 
     # -1 is below every coverage.

@@ -7,8 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
-from . import datagen, lp_export, rules_io
+from . import rules_io
 from .errors import TagSelectError
 from .model import make_params
 from .solvers import DEFAULT_EXACT_CAP, SOLVERS, Algorithm
@@ -45,6 +44,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     if args.rules:
         instances = (rules_io.load(args.rules).build(),)
     else:
@@ -62,7 +63,7 @@ def cmd_bench(args) -> int:
         instances=instances,
         repetitions=args.repetitions,
         seed=args.seed,
-        exact_cap=args.exact_cap,
+        exact_cap=bench_mod.SweepSpec.exact_cap if args.exact_cap is None else args.exact_cap,
     )
     rows = bench_mod.run_sweep(spec, jobs=args.jobs)
     bench_mod.write_csv(rows, spec, args.out)
@@ -75,6 +76,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import datagen
+
     if args.csv_rows < 0:
         raise ValueError(f"csv rows must be >= 0, got {args.csv_rows}")
     config = datagen.SynthConfig(
@@ -111,6 +114,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
+    from . import lp_export
+
     instance = rules_io.load(args.rules).build()
     params = make_params(args.k, args.alpha, args.beta, instance)
     lp_export.write_lp(instance, params, args.model, args.out)
@@ -147,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-values", type=_parse_floats, default=(0.5,))
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=bench_mod.SweepSpec.exact_cap)
+    # Default None stands for SweepSpec.exact_cap, read in cmd_bench so that
+    # building the parser does not import bench.
+    p.add_argument("--exact-cap", type=int)
     p.add_argument("--assert-bounds", action="store_true",
                    help="fail if any approximation ratio exceeds 2")
     p.add_argument("--jobs", type=int, default=1)

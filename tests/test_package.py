@@ -1,4 +1,9 @@
-"""The package's export list."""
+"""The package's export list, and what its entry points import."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import tagselect
 
@@ -6,3 +11,19 @@ import tagselect
 def test_all_names_resolve_and_are_sorted():
     assert [name for name in tagselect.__all__ if not hasattr(tagselect, name)] == []
     assert tagselect.__all__ == sorted(set(tagselect.__all__))
+
+
+def test_cli_import_leaves_out_bench_and_lp_export():
+    # A fresh interpreter, so modules this test session loaded do not count.
+    code = (
+        "import sys, tagselect.cli\n"
+        "lazy = ('tagselect.bench', 'tagselect.lp_export', 'concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    path = [str(Path(tagselect.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "True"]

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -188,7 +188,9 @@ def _ratio(row: BenchRow, opt: int) -> float | None:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
     """Execute every sweep point; returns rows in canonical order with
     approximation ratios filled wherever the matching enumerator ran.
-    ``jobs`` above 1 runs the points on that many worker processes."""
+    ``jobs`` above 1 runs the points on at most that many worker
+    processes, and never on more than there are points or CPUs; when that
+    comes to one, the points run in this process."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     instances = materialize_instances(spec)
@@ -206,8 +208,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
                         for a in schedulable:
                             tasks.append((a, inst, k, alpha, beta, rep, spec.exact_cap))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Under fork the pool starts all its workers on the first submit.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_point, tasks, chunksize=16))
     else:
         rows = [_solve_point(t) for t in tasks]

@@ -106,6 +106,43 @@ class TestRunSweep:
         parallel = bench.run_sweep(spec, jobs=2)
         assert self._strip_timing(serial) == self._strip_timing(parallel)
 
+    def test_pool_sized_by_points_and_cpus(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+        spec = small_spec()  # 16 points
+        serial = self._strip_timing(bench.run_sweep(spec))
+        assert self._strip_timing(bench.run_sweep(spec, jobs=10**6)) == serial
+        assert self._strip_timing(bench.run_sweep(spec, jobs=3)) == serial
+
+        def points(count):
+            instances = RandomInstanceSpec(count=count, num_attrs=16, n_pos=6, n_neg=6)
+            return small_spec(algorithms=(Algorithm.A_IC,), k_values=(2,), instances=instances)
+
+        bench.run_sweep(points(3), jobs=10**6)
+        assert sizes == [4, 3, 3]
+        # One point, or a CPU count the system cannot tell, runs in-process.
+        bench.run_sweep(points(1), jobs=10**6)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert self._strip_timing(bench.run_sweep(spec, jobs=10**6)) == serial
+        assert sizes == [4, 3, 3]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             small_spec(repetitions=0)
@@ -352,6 +389,14 @@ class TestCli:
         assert rc == 0
         assert out.exists()
         assert len(bench.read_csv(out)) == 4
+
+    def test_bench_exact_cap_defaults_to_sweep_spec(self, tmp_path, capsys):
+        out = tmp_path / "cap.csv"
+        assert main([
+            "bench", "--instances", "1", "--algorithms", "a-ic", "--k-values", "2",
+            "--out", str(out),
+        ]) == 0
+        assert "# exact_cap: 18" in out.read_text().splitlines()
 
     def test_gen_deterministic_files(self, tmp_path, capsys):
         args = ["gen", "--items", "500", "--attrs", "16", "--pos-tags", "4",

@@ -101,9 +101,8 @@ def theta_mask(or_pos, and_pos, or_neg, and_neg):
     so it carries a cross-edge label and no intra-edge label.  Every other
     value lies outside all cross labels or inside an intra label.  The two
     terms are disjoint, since AND is within OR on each side.  Symmetric in
-    the two sides, and works elementwise on Python ints and on numpy
-    ``uint64`` word arrays alike: the bits above m that ``~`` sets are
-    cleared by the AND they meet.
+    the two sides; the bits above m that ``~`` sets are cleared by the AND
+    they meet.
     """
     return (and_pos & ~or_neg) | (and_neg & ~or_pos)
 

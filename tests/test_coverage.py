@@ -351,29 +351,15 @@ def side_masks(draw):
     return m, sides
 
 
-def to_words(x, m):
-    return np.array(
-        [(x >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(-(-m // 64))], dtype=np.uint64
-    )
-
-
-def from_words(words):
-    return sum(int(w) << (64 * i) for i, w in enumerate(words))
-
-
 class TestThetaMask:
-    """theta_mask gives the same values on Python ints and on uint64 word
-    arrays, where ``~`` also sets the bits above m in the last word, and
-    equals the agreement form: both sides constant, and the sides apart."""
+    """theta_mask equals the agreement form: both sides constant, and the
+    sides apart."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(side_masks())
-    def test_ints_words_and_agreement_form(self, case):
+    def test_agreement_form_and_range(self, case):
         m, ((or_pos, and_pos), (or_neg, and_neg)) = case
-        on_ints = theta_mask(or_pos, and_pos, or_neg, and_neg)
+        theta = theta_mask(or_pos, and_pos, or_neg, and_neg)
         intra = (or_pos ^ and_pos) | (or_neg ^ and_neg)
-        assert on_ints == (or_pos ^ or_neg) & ~intra
-        on_words = theta_mask(*(to_words(x, m) for x in (or_pos, and_pos, or_neg, and_neg)))
-        assert on_words.dtype == np.uint64
-        assert from_words(on_words) == on_ints
-        assert 0 <= on_ints < 1 << m
+        assert theta == (or_pos ^ or_neg) & ~intra
+        assert 0 <= theta < 1 << m

@@ -15,6 +15,7 @@ def test_all_names_resolve_and_are_sorted():
 
 def test_cli_import_leaves_out_bench_and_lp_export():
     # A fresh interpreter, so modules this test session loaded do not count.
+    # numpy stays in `import tagselect` for perfbench's numpy probe (ROADMAP item 4).
     code = (
         "import sys, tagselect.cli\n"
         "lazy = ('tagselect.bench', 'tagselect.lp_export', 'concurrent.futures', 'multiprocessing')\n"

@@ -44,6 +44,8 @@ class SynthConfig:
             raise ValueError("num_items and num_attrs must be positive")
         if self.num_pos_tags < 0 or self.num_neg_tags < 0:
             raise ValueError("tag counts must be non-negative")
+        if not self.num_tags:
+            raise ValueError("at least one tag required; both tag counts are 0")
         if not self.group_probs:
             raise ValueError("group_probs must hold at least one probability")
         if not all(0.0 <= p <= 1.0 for p in self.group_probs):

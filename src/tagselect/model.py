@@ -13,9 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import AttributeOutOfRange, EmptyInstance, InfeasiblePolarity
+
+if TYPE_CHECKING:
+    from .coverage import DCGraph
+    from .relevance import RelBenchmark
 
 # Guard subtracted before ceilings / added to >= tests so that binary float
 # representation of values like 0.5 * 2 cannot flip an integer boundary.
@@ -28,6 +33,11 @@ class Sentiment(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# A module global reads faster than the enum's class attribute, which the
+# per-tag sentiment tests below would otherwise look up on every call.
+_POSITIVE = Sentiment.POSITIVE
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class Tag:
 
     @property
     def is_positive(self) -> bool:
-        return self.sentiment is Sentiment.POSITIVE
+        return self.sentiment is _POSITIVE
 
     def annotated(self) -> str:
         return f"{self.label} ({self.sentiment})"
@@ -119,6 +129,84 @@ class Instance:
         for t in self.negatives():
             m |= t.mask
         return m
+
+    # The solve inputs below depend on the instance alone, so each is built
+    # on first use and kept, like the cover masks above.  They live outside
+    # the dataclass fields: equality, hashing and repr ignore them.  The
+    # per-side columns are tuples of the tags' own floats and ints.
+
+    @cached_property
+    def rel_benchmark(self) -> RelBenchmark:
+        """The relevance prefix sums (:meth:`RelBenchmark.from_instance`)."""
+        from .relevance import RelBenchmark
+
+        return RelBenchmark.from_instance(self)
+
+    @cached_property
+    def dc_graph(self) -> DCGraph:
+        """The one-sided masks (:func:`build_dc_graph`)."""
+        from .coverage import build_dc_graph
+
+        return build_dc_graph(self)
+
+    @cached_property
+    def side_relevances(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Each side's relevances, positives first, in id order."""
+        return (
+            tuple(t.relevance for t in self.positives()),
+            tuple(t.relevance for t in self.negatives()),
+        )
+
+    @cached_property
+    def side_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each side's coverage masks, positives first, in id order."""
+        return (
+            tuple(t.mask for t in self.positives()),
+            tuple(t.mask for t in self.negatives()),
+        )
+
+    @cached_property
+    def search_order(self) -> tuple:
+        """Branch-and-bound's visiting order and the tables its bounds read,
+        as ``(tags, masks, relevances, size, rest, top_pos, top_neg)``.
+
+        ``tags`` holds the positives, then the negatives, each side by
+        descending coverage size, then id; ``masks`` and ``relevances``
+        follow it.  ``size[j] - size[i]`` sums the coverage sizes of
+        ``tags[i:j]``; ``rest[i]`` is the union of ``tags[i:]`` up to the
+        end of ``tags[i]``'s side; ``top_pos[i][q]`` and ``top_neg[i][q]``
+        sum the q largest relevances of that side among ``tags[i:]``.
+        """
+        tags = tuple(
+            sorted(self.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
+        )
+        masks = tuple(t.mask for t in tags)
+        rels = tuple(t.relevance for t in tags)
+        size = tuple(accumulate((m.bit_count() for m in masks), initial=0))
+        n, n_pos = len(tags), self.n_pos
+        rest = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
+        return (
+            tags, masks, rels, size, tuple(rest),
+            _suffix_top(rels, 0, n_pos), _suffix_top(rels, n_pos, n),
+        )
+
+
+def _suffix_top(rels: Sequence[float], start: int, stop: int) -> tuple[tuple[float, ...], ...]:
+    """``rows[i][q]``: sum of the q largest of ``rels[max(i, start):stop]``,
+    for every i from 0 to ``len(rels)``."""
+    n = len(rels)
+    rows = [(0.0,)] * (n + 1)
+    held: list[float] = []
+    for i in range(n - 1, -1, -1):
+        if start <= i < stop:
+            held.append(rels[i])
+            held.sort(reverse=True)
+            rows[i] = tuple(accumulate(held, initial=0.0))
+        else:
+            rows[i] = rows[i + 1]
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -190,7 +278,7 @@ def build_instance(rules: Sequence[Rule], m: int, item_id: str = "item") -> Inst
     # Keyed on (label, is positive): a bool hashes in C, an Enum in Python.
     best: dict[tuple[str, bool], Rule] = {}
     for rule in rules:
-        key = (rule.tag_label, rule.sentiment is Sentiment.POSITIVE)
+        key = (rule.tag_label, rule.sentiment is _POSITIVE)
         held = best.get(key)
         if held is None or _rule_sort_key(rule) > _rule_sort_key(held):
             best[key] = rule

@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 import operator
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .coverage import build_dc_graph, theta_dc
+from .coverage import theta_dc
 from .errors import Infeasible, InstanceTooLarge
 from .model import EPS, Instance, Params, Selection, Tag, check_quotas
-from .relevance import RelBenchmark, rel_max, rel_total, stepwise_rel_max
+from .relevance import rel_max, rel_total, stepwise_rel_max
 
 DEFAULT_EXACT_CAP = 30
 
@@ -81,8 +81,7 @@ def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
             f"exhaustive solving refused for n={instance.n} tags "
             f"(cap {exact_cap}); raise exact_cap explicitly if you mean it"
         )
-    bench = RelBenchmark.from_instance(instance)
-    return params.beta * rel_max(bench, params.k1, params.k2) - EPS
+    return params.beta * rel_max(instance.rel_benchmark, params.k1, params.k2) - EPS
 
 
 def _reached(best, need: float):
@@ -109,34 +108,53 @@ def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Se
 _TILE_PAIRS = 1 << 16
 
 
-def _side_rows(tags: Sequence[Tag], k: int, vector: Callable[[Tag], int], stand_in: int):
+def _side_rows(
+    tags: Sequence[Tag], rels: Sequence[float], vectors: Sequence[int], k: int, stand_in: int
+):
     """Yield the k-combinations of one side's ``tags`` in ``combinations``
-    order as rows (relevance sum, OR, AND, complement of OR, tags) of the
-    tags' ``vector``.  The relevance sum is the scalar ``sum`` in tag order,
-    so that ties on relevance stay bit-exact.  The empty combination stands
-    for the side's stand-in, whose OR and AND are ``stand_in``."""
+    order as rows (relevance sum, OR, AND, complement of OR, tags), where
+    ``rels`` and ``vectors`` are the tags' relevances and vectors.  The
+    relevance sum is the scalar ``sum`` in tag order, so that ties on
+    relevance stay bit-exact.  The empty combination stands for the side's
+    stand-in, whose OR and AND are ``stand_in``."""
     if not k:
         yield 0, stand_in, stand_in, ~stand_in, ()
         return
     # combinations of equally long sequences align, so each step gives one
     # combination's tags, relevances and vectors.
-    for chosen, rels, vectors in zip(
-        combinations(tags, k),
-        combinations([t.relevance for t in tags], k),
-        combinations([vector(t) for t in tags], k),
+    for chosen, rel, vec in zip(
+        combinations(tags, k), combinations(rels, k), combinations(vectors, k)
     ):
-        union = reduce(operator.or_, vectors)
-        yield sum(rels), union, reduce(operator.and_, vectors), ~union, chosen
+        union = reduce(operator.or_, vec)
+        yield sum(rel), union, reduce(operator.and_, vec), ~union, chosen
 
 
-def _negative_passes(instance: Instance, k: int, vector: Callable[[Tag], int], stand_in: int):
+def _aug_vectors(instance: Instance) -> tuple[list[int], list[int]]:
+    """Each side's augmented vectors (:meth:`DCGraph.aug_mask`), positives
+    first, in id order.  Built per solve, for about 4 us on a 32-tag item:
+    kept per instance, they would hold about 1.6 kB more on it, two thirds
+    as much again as the inputs the instance keeps."""
+    graph = instance.dc_graph
+    pos, neg = instance.side_masks
+    return [m | graph.only_neg_mask for m in pos], [m | graph.only_pos_mask for m in neg]
+
+
+def _side_columns(instance: Instance, vectors: tuple[Sequence[int], Sequence[int]]) -> tuple:
+    """Per side, positives first: its (ids, relevances, ``vectors``) in id
+    order, so that the sides taken in turn visit the tags in id order."""
+    n_pos = instance.n_pos
+    return tuple(zip((range(n_pos), range(n_pos, instance.n)), instance.side_relevances, vectors))
+
+
+def _negative_passes(instance: Instance, vectors: Sequence[int], k: int, stand_in: int):
     """A function returning the negative side's rows (:func:`_side_rows`)
-    for one pass: one list, built at most once, when there are at most
-    ``_TILE_PAIRS`` rows, else a fresh stream on each call."""
+    over ``vectors`` for one pass: one list, built at most once, when there
+    are at most ``_TILE_PAIRS`` rows, else a fresh stream on each call."""
     negatives = instance.negatives()
+    rels = instance.side_relevances[1]
 
     def stream():
-        return _side_rows(negatives, k, vector, stand_in)
+        return _side_rows(negatives, rels, vectors, k, stand_in)
 
     held = list(stream()) if comb(len(negatives), k) <= _TILE_PAIRS else None
     return lambda: held or stream()
@@ -162,12 +180,14 @@ def exact_ic(
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
-    mask = operator.attrgetter("mask")
-    neg_rows = _negative_passes(instance, params.k2, mask, 0)
+    rels, masks = instance.side_relevances, instance.side_masks
+    neg_rows = _negative_passes(instance, masks[1], params.k2, 0)
 
     # -1 is below every coverage.
     best, best_cov, best_rel = None, -1, 0.0
-    for pos_rel, pos_mask, _, _, pos in _side_rows(instance.positives(), params.k1, mask, 0):
+    for pos_rel, pos_mask, _, _, pos in _side_rows(
+        instance.positives(), rels[0], masks[0], params.k1, 0
+    ):
         for neg_rel, neg_mask, _, _, neg in neg_rows():
             rel = pos_rel + neg_rel
             if rel < need:
@@ -198,41 +218,40 @@ def greedy_ic(
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    bench = RelBenchmark.from_instance(instance)
+    bench = instance.rel_benchmark
+    sides = _side_columns(instance, instance.side_masks)
+    left = [params.k1, params.k2]
 
     chosen: list[Tag] = []
-    # Open candidates in id order: (tag, is_positive, relevance, mask).
-    open_tags = [(t, t.is_positive, t.relevance, t.mask) for t in instance.tags]
-    pos_count = neg_count = 0
+    taken: set[int] = set()
     rel_so_far = 0.0
     mask = 0
     for x in range(1, params.k + 1):
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        pos_open = pos_count < params.k1
-        neg_open = neg_count < params.k2
-        best = None
+        best = best_side = None
         best_cov = -1
         best_rel = 0.0
-        for cand in open_tags:
-            _, positive, rel, tag_mask = cand
-            if not (pos_open if positive else neg_open) or rel_so_far + rel < threshold:
+        for side, (ids, rels, masks) in enumerate(sides):
+            if not left[side]:
                 continue
-            # Visited in id order, so replacing only on a strictly larger
-            # (coverage, relevance) keeps the lowest id on ties.
-            cov = (mask | tag_mask).bit_count()
-            if cov > best_cov or (cov == best_cov and rel > best_rel):
-                best, best_cov, best_rel = cand, cov, rel
+            for i, rel, tag_mask in zip(ids, rels, masks):
+                if rel_so_far + rel < threshold:
+                    continue
+                # Visited in id order, so replacing only on a strictly
+                # larger (coverage, relevance) keeps the lowest id on ties.
+                # A taken tag adds nothing, so it is seldom a new best and
+                # is looked for only then.
+                cov = (mask | tag_mask).bit_count()
+                if (cov > best_cov or (cov == best_cov and rel > best_rel)) and i not in taken:
+                    best, best_side, best_cov, best_rel = i, side, cov, rel
         if best is None:
             break  # Dead end: the relevance filter emptied the pool mid-run.
-        best_tag, positive, rel, tag_mask = best
-        open_tags = [c for c in open_tags if c is not best]
-        chosen.append(best_tag)
-        rel_so_far += rel
-        mask |= tag_mask
-        if positive:
-            pos_count += 1
-        else:
-            neg_count += 1
+        tag = instance.tags[best]
+        chosen.append(tag)
+        taken.add(best)
+        rel_so_far += best_rel
+        mask |= tag.mask
+        left[best_side] -= 1
     return SolveReport(
         algorithm=Algorithm.A_IC,
         selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
@@ -267,14 +286,16 @@ def exact_dc(
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
-    graph = build_dc_graph(instance)
-    neg_rows = _negative_passes(instance, params.k2, graph.aug_mask, graph.only_pos_mask)
+    graph = instance.dc_graph
+    aug = _aug_vectors(instance)
+    neg_rows = _negative_passes(instance, aug[1], params.k2, graph.only_pos_mask)
 
     # graph.m + 1 exceeds every theta and -1 is below every cov_dc.
     th_best, th_val, th_rel = None, graph.m + 1, 0.0
     cv_best, cv_val, cv_rel = None, -1, 0.0
     for pos_rel, po, pa, p_out, pos in _side_rows(
-        instance.positives(), params.k1, graph.aug_mask, graph.only_neg_mask
+        instance.positives(), instance.side_relevances[0], aug[0], params.k1,
+        graph.only_neg_mask,
     ):
         for neg_rel, no, na, n_out, neg in neg_rows():
             rel = pos_rel + neg_rel
@@ -326,14 +347,15 @@ def greedy_dc(
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    bench = RelBenchmark.from_instance(instance)
-    graph = build_dc_graph(instance)
+    bench = instance.rel_benchmark
+    graph = instance.dc_graph
 
     chosen: list[Tag] = []
+    taken: set[int] = set()
     rel_so_far = 0.0
     full = (1 << graph.m) - 1
     # Per side, positives first: the quota left, the running (OR, AND) and
-    # the open candidates in id order as (tag, relevance, vector).  (0, full),
+    # the candidates' ids, relevances and vectors in id order.  (0, full),
     # the identities of | and & over the m values, marks an open side with
     # no member yet; a side with no quota holds its stand-in's vector, which
     # theta_mask takes as OR = AND.
@@ -342,18 +364,19 @@ def greedy_dc(
         (0, full) if q else (stand_in, stand_in)
         for q, stand_in in zip(left, (graph.only_neg_mask, graph.only_pos_mask))
     ]
-    open_tags = [
-        [(t, t.relevance, t.mask | graph.only_neg_mask) for t in instance.positives()],
-        [(t, t.relevance, t.mask | graph.only_pos_mask) for t in instance.negatives()],
-    ]
+    sides = _side_columns(instance, _aug_vectors(instance))
     while len(chosen) < params.k:
-        # An option is (tag, relevance, OR, AND, full ^ OR): the complement
+        # An option is (id, relevance, OR, AND, full ^ OR): the complement
         # of OR is taken once per option, not once per pair.
         pos_opts, neg_opts = [
-            [(t, r, o | v, a & v, full ^ (o | v)) for t, r, v in cands]
+            [
+                (i, r, (u := o | v), a & v, full ^ u)
+                for i, r, v in zip(*cands)
+                if i not in taken
+            ]
             if q
             else [(None, 0.0, o, a, full ^ o)]
-            for q, (o, a), cands in zip(left, acc, open_tags)
+            for q, (o, a), cands in zip(left, acc, sides)
         ]
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
@@ -378,13 +401,13 @@ def greedy_dc(
                     best, best_th, best_rel = (p, n), th, rel
         if best is None:
             break  # Dead end: the relevance filter emptied the pool mid-run.
-        for side, (t, r, o, a, _) in enumerate(best):
-            if t is not None:
-                chosen.append(t)
+        for side, (i, r, o, a, _) in enumerate(best):
+            if i is not None:
+                chosen.append(instance.tags[i])
+                taken.add(i)
                 rel_so_far += r
                 left[side] -= 1
                 acc[side] = (o, a)
-                open_tags[side] = [c for c in open_tags[side] if c[0] is not t]
     th = theta_dc(graph, chosen)
     return SolveReport(
         algorithm=Algorithm.A_DC,
@@ -396,21 +419,6 @@ def greedy_dc(
 # ---------------------------------------------------------------------------
 # Branch-and-bound
 # ---------------------------------------------------------------------------
-
-
-def _suffix_top(tags: Sequence[Tag], side: bool) -> list[tuple[float, ...]]:
-    """``rows[i][q]``: sum of the q largest relevances among ``tags[i:]`` of
-    that side; used for the optimistic relevance bound."""
-    rows = [(0.0,)] * (len(tags) + 1)
-    rels: list[float] = []
-    for i in range(len(tags) - 1, -1, -1):
-        if tags[i].is_positive is side:
-            rels.append(tags[i].relevance)
-            rels.sort(reverse=True)
-            rows[i] = tuple(accumulate(rels, initial=0.0))
-        else:
-            rows[i] = rows[i + 1]
-    return rows
 
 
 def _bnb(
@@ -441,18 +449,10 @@ def _bnb(
     dc = only is not None
     only_pos, only_neg = only or (0, 0)
 
-    tags = sorted(instance.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
+    # The visiting order and its size, rest and suffix-top tables
+    # (Instance.search_order), built once per instance.
+    tags, masks, rels, size, rest, top_pos, top_neg = instance.search_order
     n, n_pos = len(tags), instance.n_pos
-    masks = [t.mask for t in tags]
-    rels = [t.relevance for t in tags]
-    # size[j] - size[i]: the coverage sizes of tags[i:j] summed.
-    size = list(accumulate((m.bit_count() for m in masks), initial=0))
-    # rest[i]: the union of tags[i:] up to the end of tags[i]'s side.
-    rest = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
-    top_pos = _suffix_top(tags, True)
-    top_neg = _suffix_top(tags, False)
 
     best_val, best_rel, best_sel = -1, -1.0, None
     nodes = 0
@@ -538,7 +538,7 @@ def bnb_dc(
     stand-ins being always selected.  The value equals ``cov_dc``, so the
     optimum equals the enumerator's dependent-coverage optimum.
     """
-    graph = build_dc_graph(instance)
+    graph = instance.dc_graph
     return _bnb(instance, params, exact_cap, (graph.only_pos_mask, graph.only_neg_mask))
 
 

@@ -100,11 +100,23 @@ class TestRunSweep:
         b = bench.run_sweep(small_spec())
         assert self._strip_timing(a) == self._strip_timing(b)
 
-    def test_worker_pool_matches_serial(self):
-        spec = small_spec(instances=RandomInstanceSpec(count=2, num_attrs=12, n_pos=5, n_neg=5))
-        serial = bench.run_sweep(spec, jobs=1)
-        parallel = bench.run_sweep(spec, jobs=2)
-        assert self._strip_timing(serial) == self._strip_timing(parallel)
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        # Two CPUs, so that a one-CPU machine starts a real pool too.
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        spec = small_spec(
+            algorithms=tuple(Algorithm),
+            instances=RandomInstanceSpec(count=2, num_attrs=12, n_pos=5, n_neg=5),
+        )
+        serial = self._strip_timing(bench.run_sweep(spec, jobs=1))
+        assert self._strip_timing(bench.run_sweep(spec, jobs=2)) == serial
+
+        # Instances already solved here carry their solve inputs, built
+        # once per instance, into the workers' pickles.
+        warm = small_spec(algorithms=tuple(Algorithm), instances=bench.materialize_instances(spec))
+        assert self._strip_timing(bench.run_sweep(warm, jobs=1)) == serial
+        for inst in warm.instances:
+            assert {"rel_benchmark", "dc_graph", "side_masks", "search_order"} <= vars(inst).keys()
+        assert self._strip_timing(bench.run_sweep(warm, jobs=2)) == serial
 
     def test_pool_sized_by_points_and_cpus(self, monkeypatch):
         import concurrent.futures
@@ -377,6 +389,13 @@ class TestCli:
         # Zero rows is valid: the header alone.
         assert main(small + ["--csv-rows", "0", "--out", str(tmp_path / "zero")]) == 0
         assert len((tmp_path / "zero.csv").read_text().splitlines()) == 1
+
+    def test_gen_without_tags_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(capsys, [
+            "gen", "--items", "50", "--attrs", "10", "--pos-tags", "0",
+            "--neg-tags", "0", "--out", str(tmp_path / "empty"),
+        ], "at least one tag required")
+        assert not list(tmp_path.iterdir())
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -97,6 +97,10 @@ class TestGenMatrix:
             SynthConfig(num_items=10, num_attrs=4, corr_min=3, corr_max=8)
         with pytest.raises(ValueError, match="group_probs must hold at least one"):
             SynthConfig(num_items=10, group_probs=())
+        with pytest.raises(ValueError, match="at least one tag required"):
+            SynthConfig(num_items=10, num_pos_tags=0, num_neg_tags=0)
+        # One empty side is a valid vocabulary.
+        assert SynthConfig(num_items=10, num_pos_tags=0).num_tags == 50
 
 
 class TestCatalogue:
@@ -164,11 +168,13 @@ def outcome(fn, *args):
 def matrices(draw):
     num_attrs = draw(st.integers(1, 12))
     corr_max = draw(st.integers(1, num_attrs))
+    # One side may be empty; a config without tags is refused.
+    num_pos_tags = draw(st.integers(0, 4))
     config = SynthConfig(
         num_items=draw(st.integers(1, 40)),
         num_attrs=num_attrs,
-        num_pos_tags=draw(st.integers(0, 4)),
-        num_neg_tags=draw(st.integers(0, 4)),
+        num_pos_tags=num_pos_tags,
+        num_neg_tags=draw(st.integers(0 if num_pos_tags else 1, 4)),
         group_probs=tuple(
             draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)), min_size=1, max_size=4))
         ),

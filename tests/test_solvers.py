@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -1092,3 +1093,86 @@ class TestSolverContracts:
         for solve in (exact_ic, greedy_ic, bnb_ic, exact_dc, greedy_dc, bnb_dc):
             with pytest.raises(InfeasiblePolarity):
                 solve(camera, bad)
+
+
+def rebuilt(inst):
+    """A fresh instance built from the rules behind ``inst``'s tags."""
+    rules = [Rule(t.coverage, t.label, t.sentiment, t.relevance) for t in inst.tags]
+    return build_instance(rules, m=inst.m, item_id=inst.item_id)
+
+
+def full_answer(solve, inst, params):
+    try:
+        report = solve(inst, params)
+    except (Infeasible, InfeasiblePolarity) as exc:
+        return type(exc), str(exc)
+    sel = report.selection
+    return (
+        sel.sorted_ids(), sel.objective_value, repr(sel.rel_total), sel.feasible,
+        report.nodes_explored, report.covdc_selection,
+    )
+
+
+# The solve inputs an instance builds on first use and keeps.
+CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_relevances", "side_masks", "search_order"}
+
+
+class TestSolveInputsBuiltOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts the calls of RelBenchmark.from_instance and build_dc_graph,
+        wrapped wherever a module of the package holds them."""
+        calls = {"from_instance": 0, "build_dc_graph": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrapper = counting("build_dc_graph", build_dc_graph)
+        for name, module in list(sys.modules.items()):
+            if name == "tagselect" or name.startswith("tagselect."):
+                for key, value in list(vars(module).items()):
+                    if value is build_dc_graph:
+                        monkeypatch.setattr(module, key, wrapper)
+        from_instance = RelBenchmark.__dict__["from_instance"].__func__
+        monkeypatch.setattr(
+            RelBenchmark, "from_instance", classmethod(counting("from_instance", from_instance))
+        )
+        return calls
+
+    def test_second_solve_builds_nothing(self, builds):
+        for trial, (algorithm, solve) in enumerate(solvers.SOLVERS.items()):
+            inst = random_instance(seed=[510, trial], num_attrs=14, n_pos=6, n_neg=6)
+            params = make_params(4, 0.5, 0.3, inst)
+            before = dict(builds)
+            first = full_answer(solve, inst, params)
+            once = dict(builds)
+            assert all(once[name] - before[name] <= 1 for name in once), algorithm
+            assert full_answer(solve, inst, params) == first
+            assert builds == once, algorithm
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(greedy_cases() | wide_greedy_cases())
+    def test_warm_instance_answers_as_fresh(self, case):
+        inst, params = case
+        for solve in solvers.SOLVERS.values():
+            full_answer(solve, inst, params)
+        assert CACHED_INPUTS <= vars(inst).keys()
+        fresh = rebuilt(inst)
+        for algorithm, solve in solvers.SOLVERS.items():
+            assert full_answer(solve, inst, params) == full_answer(solve, fresh, params), algorithm
+
+    def test_inputs_are_per_instance_and_outside_equality(self):
+        warm = random_instance(seed=[511], num_attrs=14, n_pos=6, n_neg=6)
+        cold = rebuilt(warm)
+        params = make_params(4, 0.5, 0.3, warm)
+        for solve in solvers.SOLVERS.values():
+            solve(warm, params)
+        assert CACHED_INPUTS <= vars(warm).keys()
+        assert not CACHED_INPUTS & vars(cold).keys()
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        for name in CACHED_INPUTS:
+            assert getattr(cold, name) == getattr(warm, name)
+            assert getattr(cold, name) is not getattr(warm, name), name

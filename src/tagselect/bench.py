@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .coverage import cov_dc, cov_ic
 from .errors import Infeasible, InfeasiblePolarity, InstanceTooLarge
-from .model import Instance, make_params
+from .model import Instance, make_params, union_mask
 from .solvers import SOLVERS, Algorithm, SolveReport
 from .datagen import check_random_sizes, random_instance
 
@@ -157,7 +157,7 @@ def _solve_point(args) -> BenchRow:
         approx_ratio=None, outcome="ok",
     )
     # Values appearing in any rule.
-    denom = (instance.pos_cover_mask | instance.neg_cover_mask).bit_count()
+    denom = union_mask(instance.tags).bit_count()
     try:
         params = make_params(k, alpha, beta, instance)
         report = SOLVERS[algorithm](instance, params, exact_cap=exact_cap)

@@ -33,15 +33,18 @@ def cov_ic(selection: Iterable[Tag]) -> int:
 
 
 def cov_dc(selection: Iterable[Tag], instance: Instance) -> int:
-    """Dependent coverage of a selection.
+    """Dependent coverage of a selection: ``|(P | only_neg) & (N | only_pos)|``
+    over the unions P and N of the selected positives and negatives and the
+    one-sided masks of the instance's :class:`DCGraph`.
 
-    Three disjoint contributions: values covered by both a selected positive
-    and a selected negative; values of the selected positives that no
-    negative tag in the whole vocabulary covers; and symmetrically for the
-    selected negatives.  The last two subtract vocabulary-wide unions, not
-    selected unions, so a one-sided value counts as soon as its only side is
-    picked.
+    That is three disjoint contributions: values covered by both a selected
+    positive and a selected negative; values of the selected positives that
+    no negative tag in the whole vocabulary covers; and symmetrically for
+    the selected negatives.  So a one-sided value counts as soon as its only
+    side is picked.  ``bnb_dc`` maximizes and ``exact_dc`` counts the same
+    form.
     """
+    graph = instance.dc_graph
     pos_sel = 0
     neg_sel = 0
     for t in selection:
@@ -49,16 +52,13 @@ def cov_dc(selection: Iterable[Tag], instance: Instance) -> int:
             pos_sel |= t.mask
         else:
             neg_sel |= t.mask
-    both = pos_sel & neg_sel
-    pos_only = pos_sel & ~instance.neg_cover_mask
-    neg_only = neg_sel & ~instance.pos_cover_mask
-    return both.bit_count() + pos_only.bit_count() + neg_only.bit_count()
+    return ((pos_sel | graph.only_neg_mask) & (neg_sel | graph.only_pos_mask)).bit_count()
 
 
 @dataclass(frozen=True)
 class DCGraph:
-    """The dependent-coverage graph of an instance, held as its two
-    one-sided masks.
+    """The dependent-coverage graph of an instance: its two one-sided masks
+    and every tag's augmented vector.
 
     Augmentation grafts each side's uncontested values onto the other side:
     every real positive vector gains the negative-only values and every real
@@ -69,25 +69,30 @@ class DCGraph:
     reduces to agreement between a positive and a negative vector.
     """
 
-    m: int
-    n: int
     only_pos_mask: int  # covered by some positive tag and by no negative one
     only_neg_mask: int  # covered by some negative tag and by no positive one
+    # Each side's augmented vectors, positives first, in id order.
+    aug: tuple[tuple[int, ...], tuple[int, ...]]
 
     def aug_mask(self, tag: Tag) -> int:
         """The augmented vector of a tag of this graph's instance."""
-        if not 0 <= tag.id < self.n:
+        pos, neg = self.aug
+        side, i = (pos, tag.id) if tag.is_positive else (neg, tag.id - len(pos))
+        if not 0 <= i < len(side):
             raise KeyError(f"tag {tag.id} ({tag.label!r}) is not a member of this graph")
-        return tag.mask | (self.only_neg_mask if tag.is_positive else self.only_pos_mask)
+        return side[i]
 
 
 def build_dc_graph(instance: Instance) -> DCGraph:
-    """Work out the one-sided masks of an instance."""
+    """Augment an instance's tag vectors; the only place that does."""
+    pos, neg = instance.side_masks
+    pos_cover, neg_cover = reduce(or_, pos, 0), reduce(or_, neg, 0)
+    only_pos = pos_cover & ~neg_cover
+    only_neg = neg_cover & ~pos_cover
     return DCGraph(
-        m=instance.m,
-        n=instance.n,
-        only_pos_mask=instance.pos_cover_mask & ~instance.neg_cover_mask,
-        only_neg_mask=instance.neg_cover_mask & ~instance.pos_cover_mask,
+        only_pos_mask=only_pos,
+        only_neg_mask=only_neg,
+        aug=(tuple(m | only_neg for m in pos), tuple(m | only_pos for m in neg)),
     )
 
 

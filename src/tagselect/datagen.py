@@ -3,8 +3,8 @@
 The generator builds a boolean item matrix: attribute columns are i.i.d.
 Bernoulli with per-group probabilities, and each tag column fires when a
 strict majority of its correlated attribute set fires.  Rows are generated
-in fixed-size blocks, each from its own counter-keyed stream, so block-
-parallel and serial generation produce identical matrices.
+in fixed-size blocks, each from its own counter-keyed stream, so a block's
+rows do not depend on the blocks generated before it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .coverage import build_dc_graph
 from .model import EPS, Instance, Params
-from .relevance import RelBenchmark, rel_max
+from .relevance import rel_max
 
 
 def _wrap(terms: list[str], indent: str = "    ") -> str:
@@ -34,8 +33,7 @@ def _sum_terms(names: list[str]) -> list[str]:
 
 
 def _common_constraints(instance: Instance, params: Params) -> list[str]:
-    bench = RelBenchmark.from_instance(instance)
-    need = params.beta * rel_max(bench, params.k1, params.k2) - EPS
+    need = params.beta * rel_max(instance.rel_benchmark, params.k1, params.k2) - EPS
     pos_names = [f"x_{t.id}" for t in instance.positives()]
     neg_names = [f"x_{t.id}" for t in instance.negatives()]
     out = []
@@ -43,11 +41,13 @@ def _common_constraints(instance: Instance, params: Params) -> list[str]:
         out.append(f" pos_quota:\n{_wrap(_sum_terms(pos_names))} = {params.k1}")
     if neg_names:
         out.append(f" neg_quota:\n{_wrap(_sum_terms(neg_names))} = {params.k2}")
+    # Round-trip digits, so that the row holds for the relevance sums the
+    # solvers compare: nine digits can put the top set's sum below the bound.
     rel_terms = []
     for i, t in enumerate(instance.tags):
         sign = "" if i == 0 else "+ "
-        rel_terms.append(f"{sign}{t.relevance:.9g} x_{t.id}")
-    out.append(f" relevance:\n{_wrap(rel_terms)} >= {need:.9g}")
+        rel_terms.append(f"{sign}{t.relevance!r} x_{t.id}")
+    out.append(f" relevance:\n{_wrap(rel_terms)} >= {need!r}")
     return out
 
 
@@ -77,7 +77,7 @@ def lp_dc(instance: Instance, params: Params) -> str:
     """Dependent coverage with the two-sided linearization: y_j needs a
     selected coverer on each sentiment side of the augmented graph, the two
     stand-in tags being fixed selected."""
-    graph = build_dc_graph(instance)
+    graph = instance.dc_graph
     y_names = [f"y_{j}" for j in range(instance.m)]
     lines = [
         f"\\ dependent-coverage selection model, item {instance.item_id}",

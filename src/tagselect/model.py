@@ -114,26 +114,10 @@ class Instance:
     def negatives(self) -> tuple[Tag, ...]:
         return self.tags[self.n_pos :]
 
-    @cached_property
-    def pos_cover_mask(self) -> int:
-        """Union of every positive tag's coverage (vocabulary-wide)."""
-        m = 0
-        for t in self.positives():
-            m |= t.mask
-        return m
-
-    @cached_property
-    def neg_cover_mask(self) -> int:
-        """Union of every negative tag's coverage (vocabulary-wide)."""
-        m = 0
-        for t in self.negatives():
-            m |= t.mask
-        return m
-
     # The solve inputs below depend on the instance alone, so each is built
-    # on first use and kept, like the cover masks above.  They live outside
-    # the dataclass fields: equality, hashing and repr ignore them.  The
-    # per-side columns are tuples of the tags' own floats and ints.
+    # on first use and kept.  They live outside the dataclass fields:
+    # equality, hashing and repr ignore them.  The per-side columns are
+    # tuples of the tags' own floats and ints.
 
     @cached_property
     def rel_benchmark(self) -> RelBenchmark:
@@ -144,7 +128,7 @@ class Instance:
 
     @cached_property
     def dc_graph(self) -> DCGraph:
-        """The one-sided masks (:func:`build_dc_graph`)."""
+        """The one-sided masks and augmented vectors (:func:`build_dc_graph`)."""
         from .coverage import build_dc_graph
 
         return build_dc_graph(self)

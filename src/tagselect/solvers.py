@@ -129,16 +129,6 @@ def _side_rows(
         yield sum(rel), union, reduce(operator.and_, vec), ~union, chosen
 
 
-def _aug_vectors(instance: Instance) -> tuple[list[int], list[int]]:
-    """Each side's augmented vectors (:meth:`DCGraph.aug_mask`), positives
-    first, in id order.  Built per solve, for about 4 us on a 32-tag item:
-    kept per instance, they would hold about 1.6 kB more on it, two thirds
-    as much again as the inputs the instance keeps."""
-    graph = instance.dc_graph
-    pos, neg = instance.side_masks
-    return [m | graph.only_neg_mask for m in pos], [m | graph.only_pos_mask for m in neg]
-
-
 def _side_columns(instance: Instance, vectors: tuple[Sequence[int], Sequence[int]]) -> tuple:
     """Per side, positives first: its (ids, relevances, ``vectors``) in id
     order, so that the sides taken in turn visit the tags in id order."""
@@ -279,7 +269,7 @@ def exact_dc(
     in :func:`exact_ic`, over augmented vectors, an empty side entering as
     its stand-in.  Theta is :func:`theta_mask` inline, against the
     complement of each combination's OR, and dependent coverage is
-    ``popcount(OR_P & OR_N)``, the two-sided form ``bnb_dc`` maximizes.
+    ``popcount(OR_P & OR_N)``, the two-sided form of ``cov_dc``.
     Each optimum is replaced only on a strictly better objective, or an
     equal one and a larger relevance, so ties keep the earlier (positive,
     negative) combination.
@@ -287,14 +277,13 @@ def exact_dc(
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     graph = instance.dc_graph
-    aug = _aug_vectors(instance)
-    neg_rows = _negative_passes(instance, aug[1], params.k2, graph.only_pos_mask)
+    neg_rows = _negative_passes(instance, graph.aug[1], params.k2, graph.only_pos_mask)
 
-    # graph.m + 1 exceeds every theta and -1 is below every cov_dc.
-    th_best, th_val, th_rel = None, graph.m + 1, 0.0
+    # m + 1 exceeds every theta and -1 is below every cov_dc.
+    th_best, th_val, th_rel = None, instance.m + 1, 0.0
     cv_best, cv_val, cv_rel = None, -1, 0.0
     for pos_rel, po, pa, p_out, pos in _side_rows(
-        instance.positives(), instance.side_relevances[0], aug[0], params.k1,
+        instance.positives(), instance.side_relevances[0], graph.aug[0], params.k1,
         graph.only_neg_mask,
     ):
         for neg_rel, no, na, n_out, neg in neg_rows():
@@ -353,7 +342,7 @@ def greedy_dc(
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
-    full = (1 << graph.m) - 1
+    full = (1 << instance.m) - 1
     # Per side, positives first: the quota left, the running (OR, AND) and
     # the candidates' ids, relevances and vectors in id order.  (0, full),
     # the identities of | and & over the m values, marks an open side with
@@ -364,7 +353,7 @@ def greedy_dc(
         (0, full) if q else (stand_in, stand_in)
         for q, stand_in in zip(left, (graph.only_neg_mask, graph.only_pos_mask))
     ]
-    sides = _side_columns(instance, _aug_vectors(instance))
+    sides = _side_columns(instance, graph.aug)
     while len(chosen) < params.k:
         # An option is (id, relevance, OR, AND, full ^ OR): the complement
         # of OR is taken once per option, not once per pair.
@@ -382,9 +371,9 @@ def greedy_dc(
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
         # Options are visited in id order and replace the best only on a
         # smaller theta, or an equal theta and a larger relevance, so ties
-        # keep the lowest ids.  graph.m + 1 exceeds every theta.
+        # keep the lowest ids.  m + 1 exceeds every theta.
         best = None
-        best_th, best_rel = graph.m + 1, 0.0
+        best_th, best_rel = instance.m + 1, 0.0
         for p in pos_opts:
             _, rx, _, pa, p_out = p
             base = rel_so_far + rx

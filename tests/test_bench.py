@@ -1,9 +1,18 @@
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagselect import Algorithm, Infeasible, InfeasiblePolarity
 from tagselect import bench
 from tagselect.bench import BenchRow, RandomInstanceSpec, SweepSpec
 from tagselect.cli import main
+
+from conftest import camera_rules_jsonl
 
 
 def small_spec(**kw):
@@ -226,6 +235,63 @@ class TestCsv:
         )
         with pytest.raises(AssertionError):
             bench.assert_bounds([row])
+
+
+# What a mutated rules-file field may become: nulls, bools, NaN, empty
+# lists, out-of-range numbers, attribute names the header lacks and a
+# repeated one.
+FUZZ_VALUES = (
+    None, True, False, math.nan, [], "", -1, 2.5,
+    "no-such-value", ["no-such-value"], ["Color=Red", "Color=Red"],
+)
+
+
+@st.composite
+def fuzzed_rules_files(draw):
+    """The camera rules file with up to three fields mutated or added, and
+    maybe one line cut short."""
+    objs = [json.loads(line) for line in camera_rules_jsonl().splitlines()]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        obj = draw(st.sampled_from(objs))
+        obj[draw(st.sampled_from(sorted(obj) + ["unknown"]))] = draw(st.sampled_from(FUZZ_VALUES))
+    lines = [json.dumps(obj) for obj in objs]
+    if draw(st.sampled_from([False, False, False, True])):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+# Numbers that argparse accepts, in range or not: NaN and the infinities too.
+fuzz_floats = st.floats(0.0, 1.0) | st.floats()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fuzzed_rules_files(),
+    st.integers(-3, 8),
+    fuzz_floats,
+    fuzz_floats,
+    st.sampled_from([a.value for a in Algorithm]),
+)
+def test_solve_never_ends_in_a_traceback(fuzz_dir, text, k, alpha, beta, algorithm):
+    # Every run ends in exit 0, 1 or 2, an exit 2 with one error line; no
+    # exception escapes main.
+    path = fuzz_dir / "fuzzed.rules.jsonl"
+    path.write_text(text)
+    argv = ["solve", "--rules", str(path), f"--k={k}", f"--alpha={alpha!r}",
+            f"--beta={beta!r}", "--algorithm", algorithm]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestCli:

@@ -170,8 +170,10 @@ class TestCovDC:
         # each extended by the values only the other side's vocabulary
         # covers (the OR of that side's augmented vectors).
         inst, sel = case
-        only_pos = inst.pos_cover_mask & ~inst.neg_cover_mask
-        only_neg = inst.neg_cover_mask & ~inst.pos_cover_mask
+        pos_cover = union_mask(inst.positives())
+        neg_cover = union_mask(inst.negatives())
+        only_pos = pos_cover & ~neg_cover
+        only_neg = neg_cover & ~pos_cover
         pos = union_mask(t for t in sel if t.is_positive)
         neg = union_mask(t for t in sel if not t.is_positive)
         expected = oracle_cov_dc(sel, inst)

@@ -1,8 +1,10 @@
 import re
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from tagselect import make_params
+from tagselect import InfeasiblePolarity, Rule, Sentiment, build_instance, make_params
 from tagselect.datagen import random_instance
 from tagselect.lp_export import lp_dc, lp_ic, write_lp
 
@@ -67,6 +69,45 @@ def test_relevance_threshold_uses_beta(camera):
     relaxed = lp_ic(camera, make_params(2, 0.5, 0.0, camera))
     block = section(relaxed, " relevance:", "\n cover_0")
     assert ">= -1e-09" in block  # beta 0 with the epsilon guard
+
+
+def relevance_row(text):
+    """The relevance row's coefficients by tag id, and its bound."""
+    terms, bound = " ".join(section(text, " relevance:\n", "\n cover_").split()).split(" >= ")
+    coefficients = {}
+    for term in terms.split(" + "):
+        value, name = term.split()
+        coefficients[int(name.removeprefix("x_"))] = float(value)
+    return coefficients, float(bound)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(0.0, 1.0), max_size=6),
+    st.lists(st.floats(0.0, 1.0), max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+@example([0.766136872787], [0.262518335482], 2, 0.5)
+def test_top_set_satisfies_relevance_row_at_beta_1(pos, neg, k, alpha):
+    # Full-precision relevances: the top k1 positives and k2 negatives, the
+    # set that reaches rel_max, must satisfy the row the model prints.
+    assume(pos or neg)
+    rules = [Rule(frozenset({0}), f"p{i}", Sentiment.POSITIVE, r) for i, r in enumerate(pos)]
+    rules += [Rule(frozenset({0}), f"n{i}", Sentiment.NEGATIVE, r) for i, r in enumerate(neg)]
+    inst = build_instance(rules, m=1)
+    try:
+        params = make_params(k, alpha, 1.0, inst)
+    except InfeasiblePolarity:
+        assume(False)
+    top = sorted(
+        t.id
+        for side, q in ((inst.positives(), params.k1), (inst.negatives(), params.k2))
+        for t in sorted(side, key=lambda t: t.relevance, reverse=True)[:q]
+    )
+    for text in (lp_ic(inst, params), lp_dc(inst, params)):
+        coefficients, bound = relevance_row(text)
+        assert sum(coefficients[i] for i in top) >= bound
 
 
 def test_write_lp(tmp_path, camera, params):

@@ -1,5 +1,6 @@
 """The package's export list, and what its entry points import."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,22 @@ def test_cli_import_leaves_out_bench_and_lp_export():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["[]", "True"]
+
+
+def test_only_datagen_imports_numpy():
+    # The solve path stays free of numpy, so that `import tagselect` can
+    # leave it out once datagen loads lazily (ROADMAP item 4).
+    package = Path(tagselect.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "datagen.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "numpy"]
+    assert found == []

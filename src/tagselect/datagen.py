@@ -315,12 +315,14 @@ def export_matrix_csv(matrix: SynthMatrix, path: str | Path, max_rows: int | Non
 
 
 def check_random_sizes(num_attrs: int, n_pos: int, n_neg: int) -> None:
-    """Refuse a random vocabulary over no attributes or with a negative tag
-    count."""
+    """Refuse a random vocabulary over no attributes, with a negative tag
+    count or with no tag at all; one empty side is valid."""
     if num_attrs < 1:
         raise ValueError(f"attribute count must be >= 1, got {num_attrs}")
     if n_pos < 0 or n_neg < 0:
         raise ValueError(f"tag counts must be >= 0, got {n_pos} positive and {n_neg} negative")
+    if not n_pos + n_neg:
+        raise ValueError("at least one tag required; both tag counts are 0")
 
 
 def random_rules(

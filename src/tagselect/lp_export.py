@@ -8,6 +8,7 @@ nothing in this package reads them back.  Variables: ``x_<id>`` per tag
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from .model import EPS, Instance, Params
@@ -54,8 +55,10 @@ def _common_constraints(instance: Instance, params: Params) -> list[str]:
 def lp_ic(instance: Instance, params: Params) -> str:
     """Independent coverage: y_j <= sum of x over the tags covering value j."""
     y_names = [f"y_{j}" for j in range(instance.m)]
+    # The item id comes from the rules file; json.dumps keeps it on one
+    # ASCII line, its line breaks escaped.
     lines = [
-        f"\\ independent-coverage selection model, item {instance.item_id}",
+        f"\\ independent-coverage selection model, item {json.dumps(instance.item_id)}",
         f"\\ k={params.k} alpha={params.alpha} beta={params.beta}",
         "Maximize",
         " obj:",
@@ -80,7 +83,7 @@ def lp_dc(instance: Instance, params: Params) -> str:
     graph = instance.dc_graph
     y_names = [f"y_{j}" for j in range(instance.m)]
     lines = [
-        f"\\ dependent-coverage selection model, item {instance.item_id}",
+        f"\\ dependent-coverage selection model, item {json.dumps(instance.item_id)}",
         f"\\ k={params.k} alpha={params.alpha} beta={params.beta}",
         "\\ x_dp / x_dn are the one-sided stand-ins, fixed to 1",
         "Maximize",

@@ -7,6 +7,10 @@ Each objective gets three routes:
   integer program (count, relevance, and optimistic-coverage pruning);
 * a greedy approximation with a per-step relevance filter.
 
+One enumerator (:func:`_enumerate`) and one branch-and-bound (:func:`_bnb`)
+serve both objectives, told apart by their ``dc`` argument; the public
+routes are one-line calls of them.
+
 All six are called as ``solver(instance, params, exact_cap=...)`` and
 return a :class:`SolveReport`.  ``exact_cap`` limits enumeration only: the
 exact and branch-and-bound routes refuse larger vocabularies, and the
@@ -102,7 +106,7 @@ def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Se
     )
 
 
-# The most negative combinations an enumerator holds as a table; past it
+# The most negative combinations the enumerator holds as a table; past it
 # the negatives are rebuilt for each positive combination, which bounds the
 # table's memory whatever the size of the side.
 _TILE_PAIRS = 1 << 16
@@ -136,18 +140,65 @@ def _side_columns(instance: Instance, vectors: tuple[Sequence[int], Sequence[int
     return tuple(zip((range(n_pos), range(n_pos, instance.n)), instance.side_relevances, vectors))
 
 
-def _negative_passes(instance: Instance, vectors: Sequence[int], k: int, stand_in: int):
-    """A function returning the negative side's rows (:func:`_side_rows`)
-    over ``vectors`` for one pass: one list, built at most once, when there
-    are at most ``_TILE_PAIRS`` rows, else a fresh stream on each call."""
+def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
+    """Enumerate every subset with exactly k1 positives and k2 negatives,
+    pairing each positive combination with a table of the negative side's
+    k2-combinations (:func:`_side_rows`): held once per solve up to
+    ``_TILE_PAIRS`` rows, rebuilt for each positive combination past that.
+
+    Independent coverage pairs the coverage masks, stand-in 0, and
+    maximizes ``popcount(OR_P | OR_N)``.  Dependent coverage (``dc``) pairs
+    the augmented vectors, an empty side entering as its stand-in, and
+    returns two optima, each evaluated on its own: the theta minimum
+    (:func:`theta_mask` inline, the primary selection) and the maximum of
+    ``popcount(OR_P & OR_N)``, the two-sided ``cov_dc`` (carried in
+    ``covdc_*``).  Each optimum is replaced only on a strictly better
+    objective, or an equal one and a larger relevance; enumeration is
+    lexicographic in tag ids, so ties keep the smallest id set.
+    ``nodes_explored`` counts every (positive, negative) pair.
+    """
+    t0 = time.perf_counter()
+    need = _exact_setup(instance, params, exact_cap)
+    if dc:
+        graph = instance.dc_graph
+        vectors, stand_ins = graph.aug, (graph.only_neg_mask, graph.only_pos_mask)
+    else:
+        vectors, stand_ins = instance.side_masks, (0, 0)
+    rels = instance.side_relevances
     negatives = instance.negatives()
-    rels = instance.side_relevances[1]
 
-    def stream():
-        return _side_rows(negatives, rels, vectors, k, stand_in)
+    def neg_stream():
+        return _side_rows(negatives, rels[1], vectors[1], params.k2, stand_ins[1])
 
-    held = list(stream()) if comb(len(negatives), k) <= _TILE_PAIRS else None
-    return lambda: held or stream()
+    held = list(neg_stream()) if comb(len(negatives), params.k2) <= _TILE_PAIRS else None
+
+    # m + 1 exceeds every theta and -1 is below every coverage.
+    th_best, th_val, th_rel = None, instance.m + 1, 0.0
+    cv_best, cv_val, cv_rel = None, -1, 0.0
+    for pos_rel, po, pa, p_out, pos in _side_rows(
+        instance.positives(), rels[0], vectors[0], params.k1, stand_ins[0]
+    ):
+        for neg_rel, no, na, n_out, neg in held or neg_stream():
+            rel = pos_rel + neg_rel
+            if rel < need:
+                continue
+            if dc:
+                th = ((pa & n_out) | (na & p_out)).bit_count()
+                if th <= th_val and (th < th_val or rel > th_rel):
+                    th_best, th_val, th_rel = pos + neg, th, rel
+                cv = (po & no).bit_count()
+            else:
+                cv = (po | no).bit_count()
+            if cv >= cv_val and (cv > cv_val or rel > cv_rel):
+                cv_best, cv_val, cv_rel = pos + neg, cv, rel
+    covered = _selection(_reached(cv_best, need), "cov_dc" if dc else "cov_ic", cv_val, True)
+    return SolveReport(
+        algorithm=Algorithm.E_DC if dc else Algorithm.E_IC,
+        selection=_selection(th_best, "theta_dc", th_val, True) if dc else covered,
+        wall_time=time.perf_counter() - t0,
+        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
+        covdc_selection=covered if dc else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,40 +210,9 @@ def exact_ic(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
     """Enumerate every subset with exactly k1 positives and k2 negatives and
-    return the one maximizing independent coverage under the relevance bound.
-
-    Each positive combination is paired with a table of the negative
-    side's k2-combinations (:func:`_side_rows` over the coverage masks),
-    held once per solve up to ``_TILE_PAIRS`` rows and rebuilt for each
-    positive combination past that; :func:`exact_dc` pairs the same table
-    over its own vectors.  A pair costs one add, one OR and a popcount.
-    ``nodes_explored`` counts every (positive, negative) pair.
-    """
-    t0 = time.perf_counter()
-    need = _exact_setup(instance, params, exact_cap)
-    rels, masks = instance.side_relevances, instance.side_masks
-    neg_rows = _negative_passes(instance, masks[1], params.k2, 0)
-
-    # -1 is below every coverage.
-    best, best_cov, best_rel = None, -1, 0.0
-    for pos_rel, pos_mask, _, _, pos in _side_rows(
-        instance.positives(), rels[0], masks[0], params.k1, 0
-    ):
-        for neg_rel, neg_mask, _, _, neg in neg_rows():
-            rel = pos_rel + neg_rel
-            if rel < need:
-                continue
-            cov = (pos_mask | neg_mask).bit_count()
-            # Enumeration order is lexicographic in tag ids, so replacing
-            # only on strict improvement keeps the smallest id set on ties.
-            if cov >= best_cov and (cov > best_cov or rel > best_rel):
-                best, best_cov, best_rel = pos + neg, cov, rel
-    return SolveReport(
-        algorithm=Algorithm.E_IC,
-        selection=_selection(_reached(best, need), "cov_ic", best_cov, True),
-        wall_time=time.perf_counter() - t0,
-        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
-    )
+    return the one maximizing independent coverage under the relevance
+    bound (:func:`_enumerate`)."""
+    return _enumerate(instance, params, exact_cap, False)
 
 
 def greedy_ic(
@@ -259,50 +279,9 @@ def exact_dc(
 ) -> SolveReport:
     """Enumerate quota-feasible subsets and return both optima: the
     theta-minimizing selection (primary, reported as the objective) and the
-    dependent-coverage-maximizing selection (carried in ``covdc_*``).
-
-    The two argopts coincide whenever minimizing theta is equivalent to
-    maximizing dependent coverage on the instance; the enumeration does not
-    assume that and evaluates both objectives independently.
-
-    Each positive combination is paired with the negative side's table, as
-    in :func:`exact_ic`, over augmented vectors, an empty side entering as
-    its stand-in.  Theta is :func:`theta_mask` inline, against the
-    complement of each combination's OR, and dependent coverage is
-    ``popcount(OR_P & OR_N)``, the two-sided form of ``cov_dc``.
-    Each optimum is replaced only on a strictly better objective, or an
-    equal one and a larger relevance, so ties keep the earlier (positive,
-    negative) combination.
-    """
-    t0 = time.perf_counter()
-    need = _exact_setup(instance, params, exact_cap)
-    graph = instance.dc_graph
-    neg_rows = _negative_passes(instance, graph.aug[1], params.k2, graph.only_pos_mask)
-
-    # m + 1 exceeds every theta and -1 is below every cov_dc.
-    th_best, th_val, th_rel = None, instance.m + 1, 0.0
-    cv_best, cv_val, cv_rel = None, -1, 0.0
-    for pos_rel, po, pa, p_out, pos in _side_rows(
-        instance.positives(), instance.side_relevances[0], graph.aug[0], params.k1,
-        graph.only_neg_mask,
-    ):
-        for neg_rel, no, na, n_out, neg in neg_rows():
-            rel = pos_rel + neg_rel
-            if rel < need:
-                continue
-            th = ((pa & n_out) | (na & p_out)).bit_count()
-            if th <= th_val and (th < th_val or rel > th_rel):
-                th_best, th_val, th_rel = pos + neg, th, rel
-            cv = (po & no).bit_count()
-            if cv >= cv_val and (cv > cv_val or rel > cv_rel):
-                cv_best, cv_val, cv_rel = pos + neg, cv, rel
-    return SolveReport(
-        algorithm=Algorithm.E_DC,
-        selection=_selection(_reached(th_best, need), "theta_dc", th_val, True),
-        wall_time=time.perf_counter() - t0,
-        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
-        covdc_selection=_selection(cv_best, "cov_dc", cv_val, True),
-    )
+    dependent-coverage-maximizing selection (carried in ``covdc_*``); see
+    :func:`_enumerate`."""
+    return _enumerate(instance, params, exact_cap, True)
 
 
 def greedy_dc(
@@ -410,13 +389,11 @@ def greedy_dc(
 # ---------------------------------------------------------------------------
 
 
-def _bnb(
-    instance: Instance, params: Params, exact_cap: int, only: tuple[int, int] | None
-) -> SolveReport:
+def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
     """Depth-first 0/1 search over tag inclusion maximizing the coverage of
     the selected positives' and negatives' unions P and N: ``cov_ic``,
-    ``|P | N|``, when ``only`` is None, else, with ``only = (only_pos,
-    only_neg)``, the two-sided ``cov_dc``, ``|(P | only_neg) & (N | only_pos)|``.
+    ``|P | N|``, or with ``dc`` the two-sided ``cov_dc``, ``|(P | only_neg)
+    & (N | only_pos)|`` over the one-sided masks of ``instance.dc_graph``.
 
     Tags are visited positives first, then negatives, each side by
     descending coverage size, then id.  Once the positive quota is full the
@@ -435,8 +412,9 @@ def _bnb(
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     k1, k2 = params.k1, params.k2
-    dc = only is not None
-    only_pos, only_neg = only or (0, 0)
+    only_pos = only_neg = 0
+    if dc:
+        only_pos, only_neg = instance.dc_graph.only_pos_mask, instance.dc_graph.only_neg_mask
 
     # The visiting order and its size, rest and suffix-top tables
     # (Instance.search_order), built once per instance.
@@ -515,7 +493,7 @@ def bnb_ic(
     once some selected tag covers it.  The objective value always matches
     the enumerator's; the selection may differ on ties.
     """
-    return _bnb(instance, params, exact_cap, None)
+    return _bnb(instance, params, exact_cap, False)
 
 
 def bnb_dc(
@@ -527,8 +505,7 @@ def bnb_dc(
     stand-ins being always selected.  The value equals ``cov_dc``, so the
     optimum equals the enumerator's dependent-coverage optimum.
     """
-    graph = instance.dc_graph
-    return _bnb(instance, params, exact_cap, (graph.only_pos_mask, graph.only_neg_mask))
+    return _bnb(instance, params, exact_cap, True)
 
 
 SOLVERS = {

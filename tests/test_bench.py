@@ -463,6 +463,14 @@ class TestCli:
         ], "at least one tag required")
         assert not list(tmp_path.iterdir())
 
+    def test_bench_without_tags_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        self.assert_usage_error(capsys, [
+            "bench", "--instances", "1", "--attrs", "10", "--pos", "0", "--neg", "0",
+            "--algorithms", "a-ic", "--k-values", "1", "--out", str(out),
+        ], "at least one tag required")
+        assert not out.exists()
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main([

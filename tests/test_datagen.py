@@ -366,6 +366,7 @@ class TestRandomInstances:
             ((16, 6, -2), "tag counts must be >= 0, got 6 positive and -2 negative"),
             ((0, 6, 4), "attribute count must be >= 1, got 0"),
             ((-2, 6, 4), "attribute count must be >= 1, got -2"),
+            ((16, 0, 0), "at least one tag required; both tag counts are 0"),
         ],
     )
     def test_bad_sizes_rejected(self, sizes, fragment):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -108,6 +109,16 @@ def test_top_set_satisfies_relevance_row_at_beta_1(pos, neg, k, alpha):
     for text in (lp_ic(inst, params), lp_dc(inst, params)):
         coefficients, bound = relevance_row(text)
         assert sum(coefficients[i] for i in top) >= bound
+
+
+@pytest.mark.parametrize("export", [lp_ic, lp_dc])
+def test_item_id_stays_in_its_comment(camera, params, export):
+    # The id comes from a rules-file header: its line breaks must not start
+    # a section of their own.
+    inst = dataclasses.replace(camera, item_id="cam\nMaximize\r obj: x_0\r\nEnd")
+    lines = export(inst, params).splitlines()
+    assert lines.count("Maximize") == 1
+    assert all(line.startswith("\\") for line in lines[: lines.index("Maximize")])
 
 
 def test_write_lp(tmp_path, camera, params):

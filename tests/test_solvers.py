@@ -570,19 +570,6 @@ def exact_ic_outcome(inst, params):
     return sel.sorted_ids(), sel.objective_value, sel.rel_total, report.nodes_explored
 
 
-class TestExactICAgainstReference:
-    """The enumerator pairs each positive combination with a table of the
-    negative ones; the reference scans whole subsets.  Tied relevances,
-    one-sided quotas and vocabularies, and a bound above the best relevance
-    all occur."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(greedy_cases())
-    def test_answers_match(self, case):
-        inst, params = case
-        assert exact_ic_outcome(inst, params) == reference_exact_ic(inst, params)
-
-
 class TestGreedyAgainstReference:
     """The greedy candidate loops compare theta (or coverage) first and
     build no key; the reference builds the whole tuple key each time.  Equal
@@ -618,6 +605,33 @@ class TestGreedyDCBeyondOneWord:
     def test_answers_match(self, case):
         inst, params = case
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+
+class TestExactICAgainstReference:
+    """The enumerator pairs each positive combination with a table of the
+    negative ones; the reference scans whole subsets.  A one-combination
+    table re-streams the negatives for every positive combination.  Tied
+    relevances, one-sided quotas and vocabularies, masks of more than one
+    64-bit word and a bound above the best relevance all occur."""
+
+    @staticmethod
+    def assert_matches_at_both_tiles(inst, params):
+        # Drawing the cases costs far more than solving them, so each case
+        # runs at both table sizes.
+        expected = reference_exact_ic(inst, params)
+        for tile in (solvers._TILE_PAIRS, 1):
+            with mock.patch.object(solvers, "_TILE_PAIRS", tile):
+                assert exact_ic_outcome(inst, params) == expected, tile
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(greedy_cases())
+    def test_answers_match(self, case):
+        self.assert_matches_at_both_tiles(*case)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(wide_greedy_cases())
+    def test_answers_match_beyond_one_word(self, case):
+        self.assert_matches_at_both_tiles(*case)
 
 
 def reference_exact_dc(inst, params):

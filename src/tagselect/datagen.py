@@ -10,7 +10,7 @@ rows do not depend on the blocks generated before it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -248,19 +248,10 @@ def estimate_alpha(group: DemographicRatings) -> float:
 
 
 def save_matrix(matrix: SynthMatrix, path: str | Path) -> None:
-    """Magic + JSON header (dims, seed, config, correlated sets) + row-major
-    bit-packed payload."""
-    header = {
-        "num_items": matrix.config.num_items,
-        "num_attrs": matrix.config.num_attrs,
-        "num_pos_tags": matrix.config.num_pos_tags,
-        "num_neg_tags": matrix.config.num_neg_tags,
-        "group_probs": list(matrix.config.group_probs),
-        "seed": matrix.config.seed,
-        "corr_min": matrix.config.corr_min,
-        "corr_max": matrix.config.corr_max,
-        "correlated": [list(c) for c in matrix.correlated],
-    }
+    """Magic + JSON header (the config's fields and the correlated sets) +
+    row-major bit-packed payload."""
+    header = asdict(matrix.config)
+    header["correlated"] = [list(c) for c in matrix.correlated]
     header_bytes = json.dumps(header, sort_keys=True).encode()
     payload = np.packbits(matrix.data.reshape(-1))
     with open(path, "wb") as fh:
@@ -271,15 +262,36 @@ def save_matrix(matrix: SynthMatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path) -> SynthMatrix:
+    """Read a :func:`save_matrix` file.  Its header must be a JSON object with
+    exactly the config's fields plus ``correlated``, one sorted set of
+    distinct attribute indices per tag; anything else raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a matrix file (bad magic {magic!r})")
         header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len))
+        raw = fh.read(header_len)
         payload = fh.read()
-    correlated = tuple(tuple(c) for c in header.pop("correlated"))
-    config = SynthConfig(**{k: tuple(v) if k == "group_probs" else v for k, v in header.items()})
+    keys = sorted([f.name for f in fields(SynthConfig)] + ["correlated"])
+    try:
+        header = json.loads(raw)
+        if not isinstance(header, dict) or sorted(header) != keys:
+            raise ValueError(f"want a JSON object with keys {keys}")
+        correlated = header.pop("correlated")
+        if any(type(v) is not int for k, v in header.items() if k != "group_probs"):
+            raise ValueError("sizes, seed and correlated-set bounds must be integers")
+        config = SynthConfig(**header)
+        if len(correlated) != config.num_tags or not all(
+            c and c == sorted(set(c)) and all(type(y) is int for y in c)
+            and 0 <= c[0] and c[-1] < config.num_attrs
+            for c in correlated
+        ):
+            raise ValueError(
+                f"want {config.num_tags} correlated sets of sorted, distinct "
+                f"attribute indices in [0, {config.num_attrs})"
+            )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad matrix header: {exc}") from None
     total = config.num_items * config.num_cols
     expected = (total + 7) // 8
     if len(payload) != expected:
@@ -292,7 +304,7 @@ def load_matrix(path: str | Path) -> SynthMatrix:
         .astype(bool)
         .reshape(config.num_items, config.num_cols)
     )
-    return SynthMatrix(config=config, data=data, correlated=correlated)
+    return SynthMatrix(config=config, data=data, correlated=tuple(map(tuple, correlated)))
 
 
 def export_matrix_csv(matrix: SynthMatrix, path: str | Path, max_rows: int | None = None) -> None:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagselect import Algorithm, Infeasible, InfeasiblePolarity
-from tagselect import bench
+from tagselect import bench, lp_export, make_params, rules_io
 from tagselect.bench import BenchRow, RandomInstanceSpec, SweepSpec
 from tagselect.cli import main
 
@@ -542,3 +542,12 @@ class TestCli:
                    "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("\\")
+        # Both models write exactly the exporter's text.
+        instance = rules_io.load(camera_rules_file).build()
+        params = make_params(2, 0.5, 0.5, instance)
+        for model, export in (("ic", lp_export.lp_ic), ("dc", lp_export.lp_dc)):
+            rc = main(["export-lp", "--rules", str(camera_rules_file), "--k", "2",
+                       "--alpha", "0.5", "--beta", "0.5", "--model", model,
+                       "--out", str(out)])
+            assert rc == 0
+            assert out.read_text() == export(instance, params)

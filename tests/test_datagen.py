@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +338,46 @@ class TestPersistence:
         datagen.save_matrix(gen_matrix(small_config()), path)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError, match="payload holds"):
+            datagen.load_matrix(path)
+
+    def test_bad_header_rejected(self, tmp_path):
+        # Each header below once loaded with a default, or failed with a
+        # KeyError or TypeError, or later in extract_rules.  Every one must
+        # be a ValueError that names the file.
+        mx = gen_matrix(small_config(num_items=8, num_attrs=6, num_pos_tags=2,
+                                     num_neg_tags=2, corr_max=4))
+        path = tmp_path / "m.matrix"
+        datagen.save_matrix(mx, path)
+        raw = path.read_bytes()
+        size = int.from_bytes(raw[8:16], "little")
+        header, payload = json.loads(raw[16 : 16 + size]), raw[16 + size :]
+
+        def write(value):
+            text = json.dumps(value).encode()
+            path.write_bytes(datagen.MAGIC + len(text).to_bytes(8, "little") + text + payload)
+
+        def without(key):
+            return {k: v for k, v in header.items() if k != key}
+
+        write(header)
+        assert datagen.load_matrix(path).correlated == mx.correlated
+        bad = [
+            without("seed"),
+            without("correlated"),
+            {**header, "note": 1},
+            list(header.items()),
+            {**header, "num_items": "8"},
+            {**header, "num_items": 8.0},
+            {**header, "correlated": header["correlated"][:2]},
+            {**header, "correlated": [[0, 99]] + header["correlated"][1:]},
+            {**header, "correlated": [[]] + header["correlated"][1:]},
+        ]
+        for value in bad:
+            write(value)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                datagen.load_matrix(path)
+        path.write_bytes(datagen.MAGIC + (3).to_bytes(8, "little") + b"{x}" + payload)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             datagen.load_matrix(path)
 
     def test_csv_export(self, tmp_path):

@@ -1,11 +1,21 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tagselect import InfeasiblePolarity, Rule, Sentiment, build_instance, make_params
+from tagselect import (
+    Infeasible,
+    InfeasiblePolarity,
+    Rule,
+    Sentiment,
+    bnb_dc,
+    bnb_ic,
+    build_instance,
+    make_params,
+)
 from tagselect.datagen import random_instance
 from tagselect.lp_export import lp_dc, lp_ic, write_lp
 
@@ -127,6 +137,17 @@ def test_write_lp(tmp_path, camera, params):
     assert path.read_text().rstrip().endswith("End")
     with pytest.raises(ValueError):
         write_lp(camera, params, "nope", path)
+    for model, export in (("ic", lp_ic), ("dc", lp_dc)):
+        write_lp(camera, params, model, path)
+        assert path.read_text() == export(camera, params)
+
+
+def test_dc_model_leaves_the_dc_graph_unbuilt():
+    # The model's rows come from the tags' coverage sets, not from the
+    # augmented vectors the solvers it cross-checks read.
+    inst = random_instance(seed=613, num_attrs=12, n_pos=4, n_neg=3)
+    lp_dc(inst, make_params(2, 0.5, 0.5, inst))
+    assert "dc_graph" not in vars(inst)
 
 
 def test_dc_cover_rows_match_oracle_augmentation():
@@ -149,3 +170,95 @@ def test_dc_cover_rows_match_oracle_augmentation():
                 if j in aug[stand_in]:
                     expected.add(f"x_{stand_in}")
                 assert set(re.findall(r"x_\w+", block)) == expected
+
+
+def parse_lp(text):
+    """Read back the LP subset this package writes: the variables of its
+    Binary section, the objective's coefficients, and each constraint as
+    (coefficients, sense, right-hand side)."""
+    body = " ".join(line for line in text.splitlines() if not line.startswith("\\"))
+    head, rest = body.split("Subject To")
+    rows_text, binaries = rest.split("Binary")
+    names = binaries.split("End")[0].split()
+    objective = linear_terms(head.split("obj:")[1])
+    rows = [
+        (linear_terms(terms), sense, float(rhs))
+        for _, terms, sense, rhs in re.findall(r"(\w+):\s(.*?)\s(>=|<=|=)\s(\S+)", rows_text)
+    ]
+    return names, objective, rows
+
+
+def linear_terms(text):
+    """``{variable: coefficient}`` of a sum such as ``0.5 x_1 + x_2 - y_0``."""
+    coefficients, sign, value = {}, 1.0, 1.0
+    for token in text.split():
+        if token in "+-":
+            sign = -1.0 if token == "-" else 1.0
+        elif token[0].isalpha():
+            coefficients[token] = coefficients.get(token, 0.0) + sign * value
+            sign, value = 1.0, 1.0
+        else:
+            value = float(token)
+    return coefficients
+
+
+def milp_optimum(text):
+    """The model's optimum by HiGHS, or None when it is infeasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    names, objective, rows = parse_lp(text)
+    column = {name: i for i, name in enumerate(names)}
+    matrix = np.zeros((len(rows), len(names)))
+    lower, upper = np.empty(len(rows)), np.empty(len(rows))
+    for r, (coefficients, sense, rhs) in enumerate(rows):
+        for name, value in coefficients.items():
+            matrix[r, column[name]] = value
+        lower[r] = -np.inf if sense == "<=" else rhs
+        upper[r] = np.inf if sense == ">=" else rhs
+    cost = np.zeros(len(names))
+    for name, value in objective.items():
+        cost[column[name]] = -value  # milp minimizes
+    result = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(len(names)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    if result.status == 2:
+        return None
+    assert result.success, result.message
+    return -result.fun
+
+
+def milp_cases(camera):
+    """The camera, then random vocabularies, some with no positive tag."""
+    yield camera, 0.5
+    for trial in range(20):
+        rng = np.random.default_rng([614, trial])
+        num_attrs, n_pos, n_neg = (int(x) for x in rng.integers([6, 0, 1], [21, 7, 7]))
+        inst = random_instance(seed=[615, trial], num_attrs=num_attrs, n_pos=n_pos, n_neg=n_neg)
+        yield inst, float(rng.choice([0.0, 0.5, 1.0])) if n_pos else 0.0
+
+
+def test_exported_models_solve_to_the_branch_and_bound_optimum(camera):
+    # HiGHS, an external MILP solver, reads each model back and must reach
+    # the optimum of the built-in branch-and-bound.  Only the values are
+    # compared: HiGHS does not follow the package's tie rule.
+    checks = 0
+    for inst, alpha in milp_cases(camera):
+        for k in (1, 2, 3):
+            for beta in (0.0, 0.5, 0.9):
+                try:
+                    params = make_params(k, alpha, beta, inst)
+                except InfeasiblePolarity:
+                    continue
+                for export, bnb in ((lp_ic, bnb_ic), (lp_dc, bnb_dc)):
+                    try:
+                        expected = bnb(inst, params).objective_value
+                    except Infeasible:
+                        expected = None
+                    if expected is not None:
+                        expected = pytest.approx(expected, abs=1e-6)
+                    optimum = milp_optimum(export(inst, params))
+                    assert optimum == expected, (inst.item_id, k, beta, export.__name__)
+                    checks += 1
+    assert checks > 250

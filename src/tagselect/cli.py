@@ -189,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code: 0 on success, 1 on a
-    tagselect error or a greedy dead end, 2 on an invalid argument value or
-    a file that cannot be read.  Errors print one ``error:`` line."""
+    tagselect error or a greedy dead end, 2 on an invalid argument value, a
+    file that cannot be read, or a size too large to allocate (such as
+    ``gen --items 1000000000000``).  Errors print one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -199,6 +200,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -337,6 +337,12 @@ def check_random_sizes(num_attrs: int, n_pos: int, n_neg: int) -> None:
         raise ValueError("at least one tag required; both tag counts are 0")
 
 
+def _round6(x: float) -> float:
+    """``float(np.round(x, 6))`` by numpy's own arithmetic (scale, round half
+    to even, unscale), without the cost of a numpy scalar."""
+    return round(x * 1e6) / 1e6
+
+
 def random_rules(
     rng: np.random.Generator,
     num_attrs: int,
@@ -367,10 +373,10 @@ def random_rules(
         label = f"{'pos' if j < n_pos else 'neg'}-{j:03d}"
         rules.append(
             Rule(
-                antecedent=frozenset(int(c) for c in cols),
+                antecedent=frozenset(cols.tolist()),
                 tag_label=label,
                 sentiment=sentiment,
-                probability=float(np.round(rng.uniform(0.01, 1.0), 6)),
+                probability=_round6(rng.uniform(0.01, 1.0)),
             )
         )
     return rules

@@ -134,6 +134,29 @@ class Instance:
         return build_dc_graph(self)
 
     @cached_property
+    def dc_first_pairs(self) -> tuple[tuple[int, float, int, int], ...]:
+        """a-dc's first pair step with both quotas open, ranked: one entry
+        ``(theta, rx + ry, positive id, negative id)`` per distinct theta,
+        by ascending theta, for the pair of largest relevance sum at that
+        theta, the lowest ids on ties.
+
+        From ``(0, full)`` on both sides a pair's theta is the popcount of
+        its two augmented vectors' XOR, so the step depends on the
+        instance alone."""
+        top: dict[int, float] = {}
+        pair: dict[int, tuple[int, int]] = {}
+        (aug_pos, aug_neg), (rel_pos, rel_neg) = self.dc_graph.aug, self.side_relevances
+        neg = tuple(zip(range(self.n_pos, self.n), rel_neg, aug_neg))
+        for i, (rx, vp) in enumerate(zip(rel_pos, aug_pos)):
+            for j, ry, vn in neg:
+                th = (vp ^ vn).bit_count()
+                rel = rx + ry
+                # Visited in id order, so only a strictly larger sum replaces.
+                if rel > top.get(th, -math.inf):
+                    top[th], pair[th] = rel, (i, j)
+        return tuple((th, top[th], *pair[th]) for th in sorted(top))
+
+    @cached_property
     def side_relevances(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Each side's relevances, positives first, in id order."""
         return (

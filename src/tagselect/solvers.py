@@ -309,9 +309,14 @@ def greedy_dc(
     Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`).  Each
     option carries its side's OR and AND and the complement of the OR,
     taken once per step, so scoring a pair costs two ANDs, one OR and a
-    popcount, and a losing pair adds one comparison.  A step with an empty
-    candidate pool is a dead end, as in :func:`greedy_ic`, and
-    ``exact_cap`` never refuses this route.
+    popcount, and a losing pair adds one comparison.  The first step with
+    both quotas open starts each side from no member, so it depends on the
+    instance alone: it takes the first entry of
+    :attr:`Instance.dc_first_pairs` (by theta, one entry per theta for its
+    pair of largest relevance) that passes the filter, which is the pair
+    the loop would keep.  A step with an empty candidate pool is a dead
+    end, as in :func:`greedy_ic`, and ``exact_cap`` never refuses this
+    route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
@@ -334,39 +339,48 @@ def greedy_dc(
     ]
     sides = _side_columns(instance, graph.aug)
     while len(chosen) < params.k:
-        # An option is (id, relevance, OR, AND, full ^ OR): the complement
-        # of OR is taken once per option, not once per pair.
-        pos_opts, neg_opts = [
-            [
-                (i, r, (u := o | v), a & v, full ^ u)
-                for i, r, v in zip(*cands)
-                if i not in taken
-            ]
-            if q
-            else [(None, 0.0, o, a, full ^ o)]
-            for q, (o, a), cands in zip(left, acc, sides)
-        ]
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        # Options are visited in id order and replace the best only on a
-        # smaller theta, or an equal theta and a larger relevance, so ties
-        # keep the lowest ids.  m + 1 exceeds every theta.
-        best = None
-        best_th, best_rel = instance.m + 1, 0.0
-        for p in pos_opts:
-            _, rx, _, pa, p_out = p
-            base = rel_so_far + rx
-            for n in neg_opts:
-                _, ry, _, na, n_out = n
-                if base + ry < threshold:
-                    continue
-                # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
-                th = ((pa & n_out) | (na & p_out)).bit_count()
-                if th > best_th:
-                    continue
-                rel = rx + ry
-                if th < best_th or rel > best_rel:
-                    best, best_th, best_rel = (p, n), th, rel
+        if not chosen and x == 2:
+            # Both sides open from (0, full): the first ranked pair that
+            # passes the filter is the pair loop's pick.
+            first = next((e for e in instance.dc_first_pairs if e[1] >= threshold), None)
+            best = [
+                (ids[q], rels[q], vecs[q], vecs[q], None)
+                for (ids, rels, vecs), q in zip(sides, (first[2], first[3] - instance.n_pos))
+            ] if first else None
+        else:
+            # An option is (id, relevance, OR, AND, full ^ OR): the
+            # complement of OR is taken once per option, not once per pair.
+            pos_opts, neg_opts = [
+                [
+                    (i, r, (u := o | v), a & v, full ^ u)
+                    for i, r, v in zip(*cands)
+                    if i not in taken
+                ]
+                if q
+                else [(None, 0.0, o, a, full ^ o)]
+                for q, (o, a), cands in zip(left, acc, sides)
+            ]
+            # Options are visited in id order and replace the best only on a
+            # smaller theta, or an equal theta and a larger relevance, so
+            # ties keep the lowest ids.  m + 1 exceeds every theta.
+            best = None
+            best_th, best_rel = instance.m + 1, 0.0
+            for p in pos_opts:
+                _, rx, _, pa, p_out = p
+                base = rel_so_far + rx
+                for n in neg_opts:
+                    _, ry, _, na, n_out = n
+                    if base + ry < threshold:
+                        continue
+                    # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
+                    th = ((pa & n_out) | (na & p_out)).bit_count()
+                    if th > best_th:
+                        continue
+                    rel = rx + ry
+                    if th < best_th or rel > best_rel:
+                        best, best_th, best_rel = (p, n), th, rel
         if best is None:
             break  # Dead end: the relevance filter emptied the pool mid-run.
         for side, (i, r, o, a, _) in enumerate(best):

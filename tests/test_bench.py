@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagselect import Algorithm, Infeasible, InfeasiblePolarity
-from tagselect import bench, lp_export, make_params, rules_io
+from tagselect import bench, datagen, lp_export, make_params, rules_io
 from tagselect.bench import BenchRow, RandomInstanceSpec, SweepSpec
 from tagselect.cli import main
 
@@ -461,6 +461,24 @@ class TestCli:
             "gen", "--items", "50", "--attrs", "10", "--pos-tags", "0",
             "--neg-tags", "0", "--out", str(tmp_path / "empty"),
         ], "at least one tag required")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("message, fragment", [
+        ("Unable to allocate 182. TiB for an array with shape (1000000000000, 200) "
+         "and data type uint8", "Unable to allocate 182. TiB"),
+        ("", "out of memory"),
+    ])
+    def test_gen_too_large_to_allocate_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, message, fragment
+    ):
+        # Stands in for numpy's allocation error, so nothing is allocated.
+        def refuse(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(datagen, "gen_matrix", refuse)
+        self.assert_usage_error(capsys, [
+            "gen", "--items", "1000000000000", "--out", str(tmp_path / "huge"),
+        ], fragment)
         assert not list(tmp_path.iterdir())
 
     def test_bench_without_tags_is_usage_error(self, tmp_path, capsys):

@@ -435,3 +435,19 @@ class TestRandomInstances:
         inst = random_instance(seed=1, num_attrs=16, n_pos=6, n_neg=4)
         assert (inst.n_pos, inst.n_neg, inst.m) == (6, 4, 16)
         assert all(0.01 <= t.relevance <= 1.0 for t in inst.tags)
+
+    def test_round6_matches_numpy_on_halfway_values(self):
+        # k + 0.5 millionths, and one ulp either side, over [0, 1].
+        half = (np.arange(0, 1_000_001, 7) + 0.5) / 1e6
+        values = np.concatenate([half, np.nextafter(half, 0.0), np.nextafter(half, 2.0)])
+        expected = np.round(values, 6)
+        assert [datagen._round6(x) for x in values.tolist()] == expected.tolist()
+
+    def test_random_rules_replay_numpy_draws(self):
+        # The same draws in the same order, rounded by np.round.
+        rules = random_rules(np.random.default_rng(7), 12, 40, 40)
+        twin = np.random.default_rng(7)
+        for rule in rules:
+            cols = twin.choice(12, size=int(twin.integers(2, 7)), replace=False)
+            assert rule.antecedent == frozenset(int(c) for c in cols)
+            assert rule.probability == float(np.round(twin.uniform(0.01, 1.0), 6))

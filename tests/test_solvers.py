@@ -37,6 +37,8 @@ from tagselect import solvers
 from tagselect.datagen import SynthConfig, extract_rules, gen_matrix, random_instance
 from tagselect.model import EPS, split_budget
 
+from conftest import pick
+
 
 P, N = Sentiment.POSITIVE, Sentiment.NEGATIVE
 
@@ -268,6 +270,22 @@ class TestGreedyDC:
         params = Params(k=2, alpha=0.5, beta=1.5, k1=1, k2=1)
         report = greedy_dc(camera, params)
         assert not report.selection.feasible
+
+    def test_first_step_skips_ranked_pairs_below_the_filter(self, camera):
+        params = make_params(4, 0.5, 0.9, camera)  # k1 = k2 = 2
+        threshold = params.beta * stepwise_rel_max(camera.rel_benchmark, 2, 2, 2) - EPS
+        ranked = camera.dc_first_pairs
+        # The pairs of theta 1, 2 and 3 miss the filter; the step takes the
+        # theta-4 pair (super cool, gimmicky touchscreen), and two steps follow.
+        assert [rel >= threshold for _, rel, _, _ in ranked][:4] == [False] * 3 + [True]
+        assert [th for th, _, _, _ in ranked][:4] == [1, 2, 3, 4]
+        assert pick(camera, "super cool", "gimmicky touchscreen") == [
+            camera.tags[i] for i in ranked[3][2:]
+        ]
+        report = greedy_dc(camera, params)
+        assert set(ranked[3][2:]) < report.selection.tag_ids
+        assert greedy_outcome(report) == reference_greedy_dc(camera, params)
+        assert report.selection.feasible
 
 
 class TestBnbDC:
@@ -605,6 +623,27 @@ class TestGreedyDCBeyondOneWord:
     def test_answers_match(self, case):
         inst, params = case
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+
+def brute_first_pairs(inst):
+    """dc_first_pairs from every (positive, negative) pair, theta scored by
+    theta_dc on the pair alone, keyed (relevance sum, -ids) per theta."""
+    graph = build_dc_graph(inst)
+    best = {}
+    for tp in inst.positives():
+        for tn in inst.negatives():
+            th = theta_dc(graph, [tp, tn])
+            key = (tp.relevance + tn.relevance, -tp.id, -tn.id)
+            best[th] = max(best.get(th, key), key)
+    return tuple((th, rel, -i, -j) for th, (rel, i, j) in sorted(best.items()))
+
+
+class TestDCFirstPairs:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(greedy_cases() | wide_greedy_cases())
+    def test_matches_brute_force(self, case):
+        inst, _ = case
+        assert inst.dc_first_pairs == brute_first_pairs(inst)
 
 
 class TestExactICAgainstReference:
@@ -1128,7 +1167,10 @@ def full_answer(solve, inst, params):
 
 
 # The solve inputs an instance builds on first use and keeps.
-CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_relevances", "side_masks", "search_order"}
+CACHED_INPUTS = {
+    "rel_benchmark", "dc_graph", "dc_first_pairs", "side_relevances", "side_masks",
+    "search_order",
+}
 
 
 class TestSolveInputsBuiltOnce:
@@ -1173,7 +1215,9 @@ class TestSolveInputsBuiltOnce:
         inst, params = case
         for solve in solvers.SOLVERS.values():
             full_answer(solve, inst, params)
-        assert CACHED_INPUTS <= vars(inst).keys()
+        # Only a-dc's first pair step, with both quotas open, reads the ranking.
+        built = CACHED_INPUTS if params.k1 and params.k2 else CACHED_INPUTS - {"dc_first_pairs"}
+        assert built <= vars(inst).keys()
         fresh = rebuilt(inst)
         for algorithm, solve in solvers.SOLVERS.items():
             assert full_answer(solve, inst, params) == full_answer(solve, fresh, params), algorithm

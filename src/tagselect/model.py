@@ -2,25 +2,32 @@
 
 Raw rules are normalized into an immutable :class:`Instance` whose tags have
 dense, deterministic ids.  Everything here is safe to share across concurrent
-solver calls; nothing mutates after construction.
+solver calls: no field changes after construction.  An instance keeps the
+solve inputs it builds on first use and the greedy routes' paths, which only
+grow (:meth:`Instance.extend_path`).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
 from .errors import AttributeOutOfRange, EmptyInstance, InfeasiblePolarity
 
 if TYPE_CHECKING:
     from .coverage import DCGraph
     from .relevance import RelBenchmark
+
+# Held while a greedy path is stored, so that a shorter copy never replaces a
+# longer one.
+_PATH_LOCK = threading.Lock()
 
 # Guard subtracted before ceilings / added to >= tests so that binary float
 # representation of values like 0.5 * 2 cannot flip an integer boundary.
@@ -115,9 +122,23 @@ class Instance:
         return self.tags[self.n_pos :]
 
     # The solve inputs below depend on the instance alone, so each is built
-    # on first use and kept.  They live outside the dataclass fields:
-    # equality, hashing and repr ignore them.  The per-side columns are
-    # tuples of the tags' own floats and ints.
+    # on first use and kept.  So do the greedy routes' steps with both
+    # quotas open and no relevance filter: a-ic's (solvers.greedy_ic) and
+    # a-dc's pair steps (solvers.greedy_dc), kept as far as requests have
+    # grown them.  All live outside the dataclass fields: equality, hashing
+    # and repr ignore them.  The per-side columns are tuples of the tags'
+    # own floats and ints.
+    ic_path: ClassVar[tuple] = ()
+    dc_pair_path: ClassVar[tuple] = ()
+
+    def extend_path(self, name: str, path: tuple) -> None:
+        """Keep ``path`` as this instance's ``ic_path`` or ``dc_pair_path``
+        unless the one held is as long.  Every copy of a path is a prefix
+        of the same sequence, so two threads that grow it at once store
+        equal entries."""
+        with _PATH_LOCK:
+            if len(path) > len(getattr(self, name)):
+                vars(self)[name] = path
 
     @cached_property
     def rel_benchmark(self) -> RelBenchmark:
@@ -132,29 +153,6 @@ class Instance:
         from .coverage import build_dc_graph
 
         return build_dc_graph(self)
-
-    @cached_property
-    def dc_first_pairs(self) -> tuple[tuple[int, float, int, int], ...]:
-        """a-dc's first pair step with both quotas open, ranked: one entry
-        ``(theta, rx + ry, positive id, negative id)`` per distinct theta,
-        by ascending theta, for the pair of largest relevance sum at that
-        theta, the lowest ids on ties.
-
-        From ``(0, full)`` on both sides a pair's theta is the popcount of
-        its two augmented vectors' XOR, so the step depends on the
-        instance alone."""
-        top: dict[int, float] = {}
-        pair: dict[int, tuple[int, int]] = {}
-        (aug_pos, aug_neg), (rel_pos, rel_neg) = self.dc_graph.aug, self.side_relevances
-        neg = tuple(zip(range(self.n_pos, self.n), rel_neg, aug_neg))
-        for i, (rx, vp) in enumerate(zip(rel_pos, aug_pos)):
-            for j, ry, vn in neg:
-                th = (vp ^ vn).bit_count()
-                rel = rx + ry
-                # Visited in id order, so only a strictly larger sum replaces.
-                if rel > top.get(th, -math.inf):
-                    top[th], pair[th] = rel, (i, j)
-        return tuple((th, top[th], *pair[th]) for th in sorted(top))
 
     @cached_property
     def side_relevances(self) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -20,6 +20,11 @@ tag ids.  Branch-and-bound reaches the enumerator's objective, but it prunes
 every subtree that can at best tie its incumbent: of the optimal selections
 it visits it keeps the one of highest relevance, the first in its visiting
 order among equals, so its selection can differ from the enumerator's.
+
+The greedy routes' steps with both quotas open and no relevance filter
+depend on the instance alone, which keeps them as a path that requests grow
+(:attr:`Instance.ic_path`, :attr:`Instance.dc_pair_path`); a request follows
+its route's path while the next step applies to it, then scans.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from enum import Enum
 import operator
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
-from .coverage import theta_dc
 from .errors import Infeasible, InstanceTooLarge
 from .model import EPS, Instance, Params, Selection, Tag, check_quotas
 from .relevance import rel_max, rel_total, stepwise_rel_max
@@ -215,12 +219,45 @@ def exact_ic(
     return _enumerate(instance, params, exact_cap, False)
 
 
+def _ic_scan(sides, left, mask: int, taken: set[int], rel_so_far: float, threshold: float):
+    """a-ic's step: the quota-open candidate of largest resulting coverage,
+    then relevance, then lowest id, among those passing ``threshold``, as
+    ``(id, side, relevance)``; None when the filter passes none."""
+    best = best_side = None
+    best_cov = -1
+    best_rel = 0.0
+    for side, (ids, rels, masks) in enumerate(sides):
+        if not left[side]:
+            continue
+        for i, rel, tag_mask in zip(ids, rels, masks):
+            if rel_so_far + rel < threshold:
+                continue
+            # Visited in id order, so replacing only on a strictly larger
+            # (coverage, relevance) keeps the lowest id on ties.  A taken
+            # tag adds nothing, so it is seldom a new best and is looked
+            # for only then.
+            cov = (mask | tag_mask).bit_count()
+            if (cov > best_cov or (cov == best_cov and rel > best_rel)) and i not in taken:
+                best, best_side, best_cov, best_rel = i, side, cov, rel
+    return None if best is None else (best, best_side, best_rel)
+
+
 def greedy_ic(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
     """Greedy approximation: k rounds of adding the quota-open tag with the
     largest resulting coverage among those passing the per-step relevance
     filter.  Carries a 1/2 guarantee relative to the enumerator.
+
+    With both quotas open and no filter, the steps depend on the instance
+    alone: :attr:`Instance.ic_path` holds them as far as requests have
+    grown it.  A request takes the path's next entry while that entry's
+    side has quota left and the entry passes the filter: the request's
+    candidates are a subset of the path's that holds the entry, under the
+    same key.  Past the path's end it grows the path by one entry, with
+    :func:`_ic_scan` at threshold -inf, but only at a step with both quotas
+    open, where no quota can refuse the entry.  From the first entry that
+    fails, or a step it may not grow, it scans.
 
     A step with an empty candidate pool is a dead end: the partial selection
     is returned flagged infeasible instead of relaxing the filter.
@@ -231,6 +268,9 @@ def greedy_ic(
     bench = instance.rel_benchmark
     sides = _side_columns(instance, instance.side_masks)
     left = [params.k1, params.k2]
+    path = instance.ic_path
+    held = len(path)
+    on_path = True
 
     chosen: list[Tag] = []
     taken: set[int] = set()
@@ -238,30 +278,27 @@ def greedy_ic(
     mask = 0
     for x in range(1, params.k + 1):
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        best = best_side = None
-        best_cov = -1
-        best_rel = 0.0
-        for side, (ids, rels, masks) in enumerate(sides):
-            if not left[side]:
-                continue
-            for i, rel, tag_mask in zip(ids, rels, masks):
-                if rel_so_far + rel < threshold:
-                    continue
-                # Visited in id order, so replacing only on a strictly
-                # larger (coverage, relevance) keeps the lowest id on ties.
-                # A taken tag adds nothing, so it is seldom a new best and
-                # is looked for only then.
-                cov = (mask | tag_mask).bit_count()
-                if (cov > best_cov or (cov == best_cov and rel > best_rel)) and i not in taken:
-                    best, best_side, best_cov, best_rel = i, side, cov, rel
-        if best is None:
-            break  # Dead end: the relevance filter emptied the pool mid-run.
-        tag = instance.tags[best]
+        if on_path and len(path) < x:
+            # Grown only where no quota can refuse the new entry.
+            on_path = left[0] > 0 and left[1] > 0
+            if on_path:
+                path += (_ic_scan(sides, left, mask, taken, 0.0, -inf),)
+        if on_path:
+            best = path[x - 1]
+            on_path = left[best[1]] > 0 and rel_so_far + best[2] >= threshold
+        if not on_path:
+            best = _ic_scan(sides, left, mask, taken, rel_so_far, threshold)
+            if best is None:
+                break  # Dead end: the relevance filter emptied the pool mid-run.
+        i, side, rel = best
+        tag = instance.tags[i]
         chosen.append(tag)
-        taken.add(best)
-        rel_so_far += best_rel
+        taken.add(i)
+        rel_so_far += rel
         mask |= tag.mask
-        left[best_side] -= 1
+        left[side] -= 1
+    if len(path) > held:
+        instance.extend_path("ic_path", path)
     return SolveReport(
         algorithm=Algorithm.A_IC,
         selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
@@ -284,11 +321,53 @@ def exact_dc(
     return _enumerate(instance, params, exact_cap, True)
 
 
+def _pair_scan(sides, left, acc, taken: set[int], full: int, rel_so_far: float, threshold: float):
+    """a-dc's step: the (positive option, negative option) pair of least
+    theta, then largest relevance, then lowest ids, among those passing
+    ``threshold``, as ``((id, relevance, OR, AND) per side, theta)``; None
+    when the filter passes none.
+
+    An option holds the side's OR and AND after adding the candidate, and
+    the complement of that OR, taken once per option, not once per pair.
+    A side with no quota ``left`` offers one option, its ``acc`` at
+    relevance 0 and id None."""
+    pos_opts, neg_opts = [
+        [
+            (i, r, (u := o | v), a & v, full ^ u)
+            for i, r, v in zip(*cands)
+            if i not in taken
+        ]
+        if q
+        else [(None, 0.0, o, a, full ^ o)]
+        for q, (o, a), cands in zip(left, acc, sides)
+    ]
+    # Options are visited in id order and replace the best only on a
+    # smaller theta, or an equal theta and a larger relevance, so ties keep
+    # the lowest ids.  m + 1 exceeds every theta.
+    best = None
+    best_th, best_rel = full.bit_length() + 1, 0.0
+    for p in pos_opts:
+        _, rx, _, pa, p_out = p
+        base = rel_so_far + rx
+        for n in neg_opts:
+            _, ry, _, na, n_out = n
+            if base + ry < threshold:
+                continue
+            # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
+            th = ((pa & n_out) | (na & p_out)).bit_count()
+            if th > best_th:
+                continue
+            rel = rx + ry
+            if th < best_th or rel > best_rel:
+                best, best_th, best_rel = (p, n), th, rel
+    return None if best is None else (best[0][:4], best[1][:4], best_th)
+
+
 def greedy_dc(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
     """Greedy approximation on the labeled graph: one step search over
-    (positive option, negative option) pairs.
+    (positive option, negative option) pairs (:func:`_pair_scan`).
 
     A side with quota left offers each open candidate, with the side's OR
     and AND of augmented vectors after adding it; a full side offers one
@@ -306,26 +385,31 @@ def greedy_dc(
     42 answers sit above a zero optimum.  Theta's intra-edge subtraction is
     invisible to the myopic pair step.
 
-    Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`).  Each
-    option carries its side's OR and AND and the complement of the OR,
-    taken once per step, so scoring a pair costs two ANDs, one OR and a
-    popcount, and a losing pair adds one comparison.  The first step with
-    both quotas open starts each side from no member, so it depends on the
-    instance alone: it takes the first entry of
-    :attr:`Instance.dc_first_pairs` (by theta, one entry per theta for its
-    pair of largest relevance) that passes the filter, which is the pair
-    the loop would keep.  A step with an empty candidate pool is a dead
-    end, as in :func:`greedy_ic`, and ``exact_cap`` never refuses this
-    route.
+    Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`), so
+    scoring a pair costs two ANDs, one OR and a popcount.  The pair steps
+    with both quotas open start each side from no member, so without the
+    filter they depend on the instance alone: :attr:`Instance.dc_pair_path`
+    holds them as far as requests have grown it, one pair at a time with
+    :func:`_pair_scan` at threshold -inf.  A request takes the path's next
+    pair, growing the path when it ends, while both quotas are open and the
+    pair passes the filter, which is the pair the scan would keep; from the
+    first pair that fails, it scans.  The reported theta is the one the
+    last step scored, or the two stand-ins' when no step took a pair.  A
+    step with an empty candidate pool is a dead end, as in
+    :func:`greedy_ic`, and ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     bench = instance.rel_benchmark
     graph = instance.dc_graph
+    path = instance.dc_pair_path
+    held = len(path)
+    on_path = True
 
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
+    th = (graph.only_pos_mask ^ graph.only_neg_mask).bit_count()
     full = (1 << instance.m) - 1
     # Per side, positives first: the quota left, the running (OR, AND) and
     # the candidates' ids, relevances and vectors in id order.  (0, full),
@@ -341,56 +425,27 @@ def greedy_dc(
     while len(chosen) < params.k:
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
         threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
-        if not chosen and x == 2:
-            # Both sides open from (0, full): the first ranked pair that
-            # passes the filter is the pair loop's pick.
-            first = next((e for e in instance.dc_first_pairs if e[1] >= threshold), None)
-            best = [
-                (ids[q], rels[q], vecs[q], vecs[q], None)
-                for (ids, rels, vecs), q in zip(sides, (first[2], first[3] - instance.n_pos))
-            ] if first else None
-        else:
-            # An option is (id, relevance, OR, AND, full ^ OR): the
-            # complement of OR is taken once per option, not once per pair.
-            pos_opts, neg_opts = [
-                [
-                    (i, r, (u := o | v), a & v, full ^ u)
-                    for i, r, v in zip(*cands)
-                    if i not in taken
-                ]
-                if q
-                else [(None, 0.0, o, a, full ^ o)]
-                for q, (o, a), cands in zip(left, acc, sides)
-            ]
-            # Options are visited in id order and replace the best only on a
-            # smaller theta, or an equal theta and a larger relevance, so
-            # ties keep the lowest ids.  m + 1 exceeds every theta.
-            best = None
-            best_th, best_rel = instance.m + 1, 0.0
-            for p in pos_opts:
-                _, rx, _, pa, p_out = p
-                base = rel_so_far + rx
-                for n in neg_opts:
-                    _, ry, _, na, n_out = n
-                    if base + ry < threshold:
-                        continue
-                    # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
-                    th = ((pa & n_out) | (na & p_out)).bit_count()
-                    if th > best_th:
-                        continue
-                    rel = rx + ry
-                    if th < best_th or rel > best_rel:
-                        best, best_th, best_rel = (p, n), th, rel
-        if best is None:
-            break  # Dead end: the relevance filter emptied the pool mid-run.
-        for side, (i, r, o, a, _) in enumerate(best):
+        on_path = on_path and left[0] > 0 and left[1] > 0
+        if on_path:
+            step = len(chosen) // 2
+            if len(path) == step:
+                path += (_pair_scan(sides, left, acc, taken, full, 0.0, -inf),)
+            best = path[step]
+            on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
+        if not on_path:
+            best = _pair_scan(sides, left, acc, taken, full, rel_so_far, threshold)
+            if best is None:
+                break  # Dead end: the relevance filter emptied the pool mid-run.
+        pos, neg, th = best
+        for side, (i, r, o, a) in enumerate((pos, neg)):
             if i is not None:
                 chosen.append(instance.tags[i])
                 taken.add(i)
                 rel_so_far += r
                 left[side] -= 1
                 acc[side] = (o, a)
-    th = theta_dc(graph, chosen)
+    if len(path) > held:
+        instance.extend_path("dc_pair_path", path)
     return SolveReport(
         algorithm=Algorithm.A_DC,
         selection=_selection(chosen, "theta_dc", th, len(chosen) == params.k),

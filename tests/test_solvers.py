@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -274,18 +275,29 @@ class TestGreedyDC:
     def test_first_step_skips_ranked_pairs_below_the_filter(self, camera):
         params = make_params(4, 0.5, 0.9, camera)  # k1 = k2 = 2
         threshold = params.beta * stepwise_rel_max(camera.rel_benchmark, 2, 2, 2) - EPS
-        ranked = camera.dc_first_pairs
-        # The pairs of theta 1, 2 and 3 miss the filter; the step takes the
-        # theta-4 pair (super cool, gimmicky touchscreen), and two steps follow.
+        ranked = brute_first_pairs(camera)
+        # The pairs of theta 1, 2 and 3 miss the filter; the step leaves the
+        # pair path at its theta-1 entry, scans, takes the theta-4 pair
+        # (super cool, gimmicky touchscreen), and two steps follow.
         assert [rel >= threshold for _, rel, _, _ in ranked][:4] == [False] * 3 + [True]
         assert [th for th, _, _, _ in ranked][:4] == [1, 2, 3, 4]
         assert pick(camera, "super cool", "gimmicky touchscreen") == [
             camera.tags[i] for i in ranked[3][2:]
         ]
         report = greedy_dc(camera, params)
+        pos, neg, th = camera.dc_pair_path[0]
+        assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
         assert set(ranked[3][2:]) < report.selection.tag_ids
         assert greedy_outcome(report) == reference_greedy_dc(camera, params)
         assert report.selection.feasible
+
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (0, 2), (2, 0)])
+    def test_step_one_dead_end_scores_the_stand_ins(self, camera, k1, k2):
+        # No relevance sum reaches 1.5 times the best, so no step takes a
+        # pair and the objective is the empty selection's.
+        report = greedy_dc(camera, Params(k=k1 + k2, alpha=k1 / (k1 + k2), beta=1.5, k1=k1, k2=k2))
+        assert report.selection.tag_ids == frozenset()
+        assert report.objective_value == theta_dc(camera.dc_graph, []) > 0
 
 
 class TestBnbDC:
@@ -626,8 +638,10 @@ class TestGreedyDCBeyondOneWord:
 
 
 def brute_first_pairs(inst):
-    """dc_first_pairs from every (positive, negative) pair, theta scored by
-    theta_dc on the pair alone, keyed (relevance sum, -ids) per theta."""
+    """a-dc's first pair step with both quotas open, ranked from every
+    (positive, negative) pair: one entry (theta, relevance sum, positive id,
+    negative id) per theta, ascending, for its pair of largest relevance
+    sum, then lowest ids; theta scored by theta_dc on the pair alone."""
     graph = build_dc_graph(inst)
     best = {}
     for tp in inst.positives():
@@ -642,8 +656,97 @@ class TestDCFirstPairs:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(greedy_cases() | wide_greedy_cases())
     def test_matches_brute_force(self, case):
+        """The pair path's first entry is the pair of least theta, then
+        largest relevance sum, then lowest ids."""
         inst, _ = case
-        assert inst.dc_first_pairs == brute_first_pairs(inst)
+        ranked = brute_first_pairs(inst)
+        if not (inst.n_pos and inst.n_neg):
+            assert ranked == ()
+            return
+        greedy_dc(inst, Params(k=2, alpha=0.5, beta=0.0, k1=1, k2=1))
+        ((pos, neg, th),) = inst.dc_pair_path
+        assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
+
+
+@st.composite
+def replayed_requests(draw):
+    """One instance of :func:`greedy_cases` or :func:`wide_greedy_cases` and
+    2 to 7 requests of any quotas it can fill and any bound in BETAS."""
+    inst, _ = draw(greedy_cases() | wide_greedy_cases())
+    requests = []
+    for _ in range(draw(st.integers(2, 7))):
+        k1 = draw(st.integers(0 if inst.n_neg else 1, inst.n_pos))
+        k2 = draw(st.integers(0 if k1 else 1, inst.n_neg))
+        requests.append(Params(k1 + k2, k1 / (k1 + k2), draw(st.sampled_from(BETAS)), k1, k2))
+    return inst, requests
+
+
+class TestGreedyPaths:
+    """The greedy routes follow each instance's unfiltered path, grown by
+    earlier requests, until an entry misses the request's quota or filter."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(replayed_requests())
+    def test_answers_read_from_grown_paths(self, case):
+        inst, requests = case
+        for params in requests:
+            assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
+            assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+
+    def test_growth_is_lazy_at_catalogue_scale(self):
+        inst = random_instance(seed=513, num_attrs=200, n_pos=300, n_neg=300)
+        greedy_dc(inst, make_params(2, 0.5, 0.5, inst))
+        assert len(inst.dc_pair_path) <= 1
+        greedy_ic(inst, make_params(4, 0.5, 0.5, inst))
+        assert len(inst.ic_path) <= 4
+
+    def test_growth_stops_where_a_request_leaves_the_path(self):
+        rules = [
+            Rule(frozenset({0, 1, 2}), "wide", P, 0.1),
+            Rule(frozenset({3}), "narrow", P, 0.9),
+            Rule(frozenset({4}), "n1", N, 0.5),
+            Rule(frozenset({5}), "n2", N, 0.4),
+        ]
+        inst = build_instance(rules, m=6)
+        params = make_params(4, 0.5, 0.9, inst)  # k1 = k2 = 2
+        # Both paths start with "wide", whose relevance misses the filter,
+        # so each request scans from its first step and grows nothing more.
+        assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
+        assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+        ((wide, _, _),) = inst.ic_path
+        (((pos, *_), _, _),) = inst.dc_pair_path
+        assert inst.tags[wide].label == inst.tags[pos].label == "wide"
+
+    def test_a_shorter_path_never_replaces_a_longer_one(self):
+        inst = random_instance(seed=515, num_attrs=14, n_pos=4, n_neg=4)
+        greedy_ic(inst, make_params(8, 0.5, 0.0, inst))
+        grown = inst.ic_path
+        assert len(grown) >= 4
+        inst.extend_path("ic_path", grown[:2])
+        assert inst.ic_path is grown
+
+    def test_threads_sharing_instances_answer_as_fresh(self):
+        shared = [random_instance(seed=[514, i], num_attrs=30, n_pos=8, n_neg=8) for i in range(4)]
+        requests = [
+            (solve, inst, make_params(k, alpha, beta, inst))
+            for solve in (greedy_ic, greedy_dc)
+            for inst in shared
+            for k in range(2, 9)
+            for alpha in (0.25, 0.5, 0.75)
+            for beta in (0.0, 0.3, 0.6)
+        ]
+        np.random.default_rng(514).shuffle(requests)
+        interval = sys.getswitchinterval()
+        # Switch threads often, so that requests interleave mid-solve.
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(lambda r: full_answer(*r), requests))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [
+            full_answer(solve, rebuilt(inst), params) for solve, inst, params in requests
+        ]
 
 
 class TestExactICAgainstReference:
@@ -1167,10 +1270,9 @@ def full_answer(solve, inst, params):
 
 
 # The solve inputs an instance builds on first use and keeps.
-CACHED_INPUTS = {
-    "rel_benchmark", "dc_graph", "dc_first_pairs", "side_relevances", "side_masks",
-    "search_order",
-}
+CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_relevances", "side_masks", "search_order"}
+# The greedy routes' paths, grown only as far as requests went.
+PATHS = {"ic_path", "dc_pair_path"}
 
 
 class TestSolveInputsBuiltOnce:
@@ -1215,12 +1317,18 @@ class TestSolveInputsBuiltOnce:
         inst, params = case
         for solve in solvers.SOLVERS.values():
             full_answer(solve, inst, params)
-        # Only a-dc's first pair step, with both quotas open, reads the ranking.
-        built = CACHED_INPUTS if params.k1 and params.k2 else CACHED_INPUTS - {"dc_first_pairs"}
-        assert built <= vars(inst).keys()
+        assert CACHED_INPUTS <= vars(inst).keys()
+        # Each route grows its path only at steps with both quotas open: a-ic
+        # by at most k tags, a-dc by at most min(k1, k2) pairs.
+        assert len(inst.ic_path) <= params.k
+        assert len(inst.dc_pair_path) <= min(params.k1, params.k2)
+        for name in PATHS:
+            assert (name in vars(inst)) == (params.k1 > 0 and params.k2 > 0), name
         fresh = rebuilt(inst)
         for algorithm, solve in solvers.SOLVERS.items():
             assert full_answer(solve, inst, params) == full_answer(solve, fresh, params), algorithm
+        for name in PATHS:
+            assert getattr(fresh, name) == getattr(inst, name), name
 
     def test_inputs_are_per_instance_and_outside_equality(self):
         warm = random_instance(seed=[511], num_attrs=14, n_pos=6, n_neg=6)
@@ -1228,9 +1336,17 @@ class TestSolveInputsBuiltOnce:
         params = make_params(4, 0.5, 0.3, warm)
         for solve in solvers.SOLVERS.values():
             solve(warm, params)
-        assert CACHED_INPUTS <= vars(warm).keys()
-        assert not CACHED_INPUTS & vars(cold).keys()
+        assert CACHED_INPUTS | PATHS <= vars(warm).keys()
+        assert not (CACHED_INPUTS | PATHS) & vars(cold).keys()
+        assert cold.ic_path == cold.dc_pair_path == ()
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         for name in CACHED_INPUTS:
+            assert getattr(cold, name) == getattr(warm, name)
+            assert getattr(cold, name) is not getattr(warm, name), name
+        # Two equal instances given the same requests hold equal paths,
+        # never the same ones.
+        for solve in solvers.SOLVERS.values():
+            solve(cold, params)
+        for name in PATHS:
             assert getattr(cold, name) == getattr(warm, name)
             assert getattr(cold, name) is not getattr(warm, name), name

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .coverage import cov_dc, cov_ic
+from .coverage import cov_dc
 from .errors import Infeasible, InfeasiblePolarity, InstanceTooLarge
 from .model import Instance, make_params, union_mask
 from .solvers import SOLVERS, Algorithm, SolveReport
@@ -41,7 +41,6 @@ _OPTIMUM_SOURCES = {
     Algorithm.A_IC.value: (Algorithm.E_IC.value, Algorithm.BNB_IC.value),
     Algorithm.A_DC.value: (Algorithm.E_DC.value,),
 }
-_IC_ALGORITHMS = {Algorithm.E_IC, Algorithm.BNB_IC, Algorithm.A_IC}
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,8 @@ class SweepSpec:
     instances: RandomInstanceSpec | tuple[Instance, ...]
     repetitions: int = 1
     seed: int = 0
-    # Exact/bnb solvers only run on instances with at most this many tags.
+    # The exact and bnb routes refuse instances with more tags than this,
+    # which the sweep writes as refused rows.
     exact_cap: int = 18
 
     def __post_init__(self):
@@ -142,10 +142,12 @@ def materialize_instances(spec: SweepSpec) -> tuple[Instance, ...]:
 
 
 def _coverage_count(report: SolveReport, instance: Instance) -> int:
-    tags = [instance.tags[i] for i in report.selection.tag_ids]
-    if report.algorithm in _IC_ALGORITHMS:
-        return cov_ic(tags)
-    return cov_dc(tags, instance)
+    """The answer's coverage: its objective value, or ``cov_dc`` of its
+    selection where the objective is theta."""
+    selection = report.selection
+    if selection.objective_kind != "theta_dc":
+        return selection.objective_value
+    return cov_dc((instance.tags[i] for i in selection.tag_ids), instance)
 
 
 def _solve_point(args) -> BenchRow:
@@ -187,7 +189,7 @@ def _ratio(row: BenchRow, opt: int) -> float | None:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
     """Execute every sweep point; returns rows in canonical order with
-    approximation ratios filled wherever the matching enumerator ran.
+    approximation ratios filled wherever the matching enumerator answered.
     ``jobs`` above 1 runs the points on at most that many worker
     processes, and never on more than there are points or CPUs; when that
     comes to one, the points run in this process."""
@@ -196,16 +198,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[BenchRow]:
     instances = materialize_instances(spec)
     tasks = []
     for inst in instances:
-        schedulable = [
-            a
-            for a in spec.algorithms
-            if a in (Algorithm.A_IC, Algorithm.A_DC) or inst.n <= spec.exact_cap
-        ]
         for k in spec.k_values:
             for alpha in spec.alpha_values:
                 for beta in spec.beta_values:
                     for rep in range(spec.repetitions):
-                        for a in schedulable:
+                        for a in spec.algorithms:
                             tasks.append((a, inst, k, alpha, beta, rep, spec.exact_cap))
 
     # Under fork the pool starts all its workers on the first submit.

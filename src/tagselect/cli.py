@@ -65,6 +65,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         exact_cap=bench_mod.SweepSpec.exact_cap if args.exact_cap is None else args.exact_cap,
     )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     rows = bench_mod.run_sweep(spec, jobs=args.jobs)
     bench_mod.write_csv(rows, spec, args.out)
     if args.assert_bounds:

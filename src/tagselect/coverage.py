@@ -33,9 +33,9 @@ def cov_ic(selection: Iterable[Tag]) -> int:
 
 
 def cov_dc(selection: Iterable[Tag], instance: Instance) -> int:
-    """Dependent coverage of a selection: ``|(P | only_neg) & (N | only_pos)|``
-    over the unions P and N of the selected positives and negatives and the
-    one-sided masks of the instance's :class:`DCGraph`.
+    """Dependent coverage of a selection: ``|P & N|`` over the unions P and N
+    of the selected positives and negatives, each union starting at its
+    side's stand-in (:attr:`DCGraph.stand_ins`).
 
     That is three disjoint contributions: values covered by both a selected
     positive and a selected negative; values of the selected positives that
@@ -44,15 +44,13 @@ def cov_dc(selection: Iterable[Tag], instance: Instance) -> int:
     side is picked.  ``bnb_dc`` maximizes and ``exact_dc`` counts the same
     form.
     """
-    graph = instance.dc_graph
-    pos_sel = 0
-    neg_sel = 0
+    pos_sel, neg_sel = instance.dc_graph.stand_ins
     for t in selection:
         if t.is_positive:
             pos_sel |= t.mask
         else:
             neg_sel |= t.mask
-    return ((pos_sel | graph.only_neg_mask) & (neg_sel | graph.only_pos_mask)).bit_count()
+    return (pos_sel & neg_sel).bit_count()
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,12 @@ class DCGraph:
     only_neg_mask: int  # covered by some negative tag and by no positive one
     # Each side's augmented vectors, positives first, in id order.
     aug: tuple[tuple[int, ...], tuple[int, ...]]
+
+    @property
+    def stand_ins(self) -> tuple[int, int]:
+        """The two stand-ins' vectors, positive side first; the one place
+        that pairs each side with the other side's one-sided mask."""
+        return self.only_neg_mask, self.only_pos_mask
 
     def aug_mask(self, tag: Tag) -> int:
         """The augmented vector of a tag of this graph's instance."""
@@ -127,10 +131,8 @@ def theta_dc(graph: DCGraph, selection: Iterable[Tag]) -> int:
     neg: list[int] = []
     for t in selection:
         (pos if t.is_positive else neg).append(graph.aug_mask(t))
-    return theta_mask(
-        *_or_and(pos, graph.only_neg_mask),
-        *_or_and(neg, graph.only_pos_mask),
-    ).bit_count()
+    pos_in, neg_in = graph.stand_ins
+    return theta_mask(*_or_and(pos, pos_in), *_or_and(neg, neg_in)).bit_count()
 
 
 def _or_and(masks: list[int], stand_in: int) -> tuple[int, int]:

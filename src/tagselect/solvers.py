@@ -152,20 +152,21 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
 
     Independent coverage pairs the coverage masks, stand-in 0, and
     maximizes ``popcount(OR_P | OR_N)``.  Dependent coverage (``dc``) pairs
-    the augmented vectors, an empty side entering as its stand-in, and
-    returns two optima, each evaluated on its own: the theta minimum
-    (:func:`theta_mask` inline, the primary selection) and the maximum of
-    ``popcount(OR_P & OR_N)``, the two-sided ``cov_dc`` (carried in
-    ``covdc_*``).  Each optimum is replaced only on a strictly better
-    objective, or an equal one and a larger relevance; enumeration is
-    lexicographic in tag ids, so ties keep the smallest id set.
+    the augmented vectors, an empty side entering as its stand-in
+    (:attr:`DCGraph.stand_ins`), and returns two optima, each evaluated on
+    its own: the theta minimum (:func:`theta_mask` inline, the primary
+    selection) and the maximum of ``cov_dc``, ``|OR_P & OR_N|``, each
+    side's OR holding its stand-in (carried in ``covdc_*``).  Each optimum
+    is replaced only on a strictly better objective, or an equal one and a
+    larger relevance; enumeration is lexicographic in tag ids, so ties keep
+    the smallest id set.
     ``nodes_explored`` counts every (positive, negative) pair.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     if dc:
         graph = instance.dc_graph
-        vectors, stand_ins = graph.aug, (graph.only_neg_mask, graph.only_pos_mask)
+        vectors, stand_ins = graph.aug, graph.stand_ins
     else:
         vectors, stand_ins = instance.side_masks, (0, 0)
     rels = instance.side_relevances
@@ -409,7 +410,8 @@ def greedy_dc(
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
-    th = (graph.only_pos_mask ^ graph.only_neg_mask).bit_count()
+    stand_ins = graph.stand_ins
+    th = (stand_ins[0] ^ stand_ins[1]).bit_count()
     full = (1 << instance.m) - 1
     # Per side, positives first: the quota left, the running (OR, AND) and
     # the candidates' ids, relevances and vectors in id order.  (0, full),
@@ -417,10 +419,7 @@ def greedy_dc(
     # no member yet; a side with no quota holds its stand-in's vector, which
     # theta_mask takes as OR = AND.
     left = [params.k1, params.k2]
-    acc = [
-        (0, full) if q else (stand_in, stand_in)
-        for q, stand_in in zip(left, (graph.only_neg_mask, graph.only_pos_mask))
-    ]
+    acc = [(0, full) if q else (stand_in, stand_in) for q, stand_in in zip(left, stand_ins)]
     sides = _side_columns(instance, graph.aug)
     while len(chosen) < params.k:
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
@@ -461,8 +460,8 @@ def greedy_dc(
 def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
     """Depth-first 0/1 search over tag inclusion maximizing the coverage of
     the selected positives' and negatives' unions P and N: ``cov_ic``,
-    ``|P | N|``, or with ``dc`` the two-sided ``cov_dc``, ``|(P | only_neg)
-    & (N | only_pos)|`` over the one-sided masks of ``instance.dc_graph``.
+    ``|P | N|``, or with ``dc`` the two-sided ``cov_dc``, ``|P & N|``, each
+    union starting at its side's stand-in (:attr:`DCGraph.stand_ins`).
 
     Tags are visited positives first, then negatives, each side by
     descending coverage size, then id.  Once the positive quota is full the
@@ -481,9 +480,6 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     k1, k2 = params.k1, params.k2
-    only_pos = only_neg = 0
-    if dc:
-        only_pos, only_neg = instance.dc_graph.only_pos_mask, instance.dc_graph.only_neg_mask
 
     # The visiting order and its size, rest and suffix-top tables
     # (Instance.search_order), built once per instance.
@@ -494,7 +490,7 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
     nodes = 0
     # (next index, positives taken, negatives taken, P, N, relevance,
     # bit set of the taken indices)
-    stack = [(0, 0, 0, 0, 0, 0.0, 0)]
+    stack = [(0, 0, 0, *(instance.dc_graph.stand_ins if dc else (0, 0)), 0.0, 0)]
     while stack:
         i, pos_cnt, neg_cnt, pos_mask, neg_mask, rel, sel = stack.pop()
         nodes += 1
@@ -503,10 +499,7 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
         if not need_pos and not need_neg:
             if rel < need:
                 continue
-            if dc:
-                val = ((pos_mask | only_neg) & (neg_mask | only_pos)).bit_count()
-            else:
-                val = (pos_mask | neg_mask).bit_count()
+            val = (pos_mask & neg_mask if dc else pos_mask | neg_mask).bit_count()
             if val > best_val or (val == best_val and rel > best_rel):
                 best_val, best_rel, best_sel = val, rel, sel
             continue
@@ -523,13 +516,11 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
         top_pos_size = size[i + need_pos] - size[i]
         top_neg_size = size[first_neg + need_neg] - size[first_neg]
         if dc:
-            pos_all = pos_mask | only_neg
-            neg_all = neg_mask | only_pos
-            if ((pos_all | rest_pos) & (neg_all | rest_neg)).bit_count() <= best_val:
+            if ((pos_mask | rest_pos) & (neg_mask | rest_neg)).bit_count() <= best_val:
                 continue
-            if (pos_all & (neg_all | rest_neg)).bit_count() + top_pos_size <= best_val:
+            if (pos_mask & (neg_mask | rest_neg)).bit_count() + top_pos_size <= best_val:
                 continue
-            if ((pos_all | rest_pos) & neg_all).bit_count() + top_neg_size <= best_val:
+            if ((pos_mask | rest_pos) & neg_mask).bit_count() + top_neg_size <= best_val:
                 continue
         else:
             if (pos_mask | neg_mask | rest_pos | rest_neg).bit_count() <= best_val:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagselect import Algorithm, Infeasible, InfeasiblePolarity
-from tagselect import bench, datagen, lp_export, make_params, rules_io
+from tagselect import bench, cov_dc, cov_ic, datagen, lp_export, make_params, rules_io
 from tagselect.bench import BenchRow, RandomInstanceSpec, SweepSpec
 from tagselect.cli import main
 
@@ -85,15 +85,49 @@ class TestRunSweep:
         row = bench._solve_point((Algorithm.A_IC, inst, 2, 0.5, 0.3, 0, 1))
         assert row.outcome == "ok"
 
-    def test_exact_cap_skips_exact_solvers(self):
+    def test_exact_cap_refuses_exact_solvers(self):
         spec = small_spec(
             instances=RandomInstanceSpec(count=2, num_attrs=16, n_pos=12, n_neg=12),
             exact_cap=18,
         )
         rows = bench.run_sweep(spec)
-        assert {r.algorithm for r in rows} == {"a-ic", "a-dc"}
-        # no exact partner ran, so no ratios
+        assert {r.algorithm for r in rows} == {"a-ic", "e-ic", "a-dc", "e-dc"}
+        exact = [r for r in rows if r.algorithm in ("e-ic", "e-dc")]
+        assert {r.outcome for r in exact} == {"refused"}
+        assert all(r.objective_value == 0 for r in exact)
+        # no exact partner answered, so no ratios
         assert all(r.approx_ratio is None for r in rows)
+
+    def test_coverage_proportion_is_the_selections_coverage(self, monkeypatch):
+        # Every row of all six routes, greedy dead ends included, against
+        # cov_ic or cov_dc of the selection its solver returned, over the
+        # values that any tag covers.
+        selections = {}
+
+        def recording(solver):
+            def solve(instance, params, exact_cap):
+                report = solver(instance, params, exact_cap=exact_cap)
+                key = (report.algorithm.value, instance.item_id, params.k, params.alpha)
+                selections[key] = report.selection
+                return report
+            return solve
+
+        for algorithm, solver in list(bench.SOLVERS.items()):
+            monkeypatch.setitem(bench.SOLVERS, algorithm, recording(solver))
+        spec = small_spec(
+            algorithms=tuple(Algorithm), k_values=(2, 4, 6), alpha_values=(0.3, 0.5),
+            beta_values=(0.95,), seed=5,
+        )
+        instances = {inst.item_id: inst for inst in bench.materialize_instances(spec)}
+        rows = bench.run_sweep(spec)
+        assert {r.outcome for r in rows} == {"ok", "dead_end"}
+        for row in rows:
+            inst = instances[row.instance_id]
+            selection = selections[row.algorithm, row.instance_id, row.k, row.alpha]
+            tags = [inst.tags[i] for i in selection.tag_ids]
+            count = cov_ic(tags) if row.algorithm.endswith("ic") else cov_dc(tags, inst)
+            covered = set().union(*(t.coverage for t in inst.tags))
+            assert row.coverage_proportion == count / len(covered)
 
     @staticmethod
     def _strip_timing(rows):
@@ -500,6 +534,26 @@ class TestCli:
         assert rc == 0
         assert out.exists()
         assert len(bench.read_csv(out)) == 4
+
+    def test_bench_out_in_a_new_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "bench.csv"
+        assert main([
+            "bench", "--instances", "1", "--algorithms", "a-ic", "--k-values", "2",
+            "--out", str(out),
+        ]) == 0
+        assert len(bench.read_csv(out)) == 1
+
+    def test_bench_out_under_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def never(spec, jobs):
+            raise AssertionError("the sweep ran before its output was refused")
+
+        monkeypatch.setattr(bench, "run_sweep", never)
+        parent = tmp_path / "file"
+        parent.write_text("")
+        self.assert_usage_error(capsys, [
+            "bench", "--instances", "1", "--algorithms", "a-ic", "--k-values", "2",
+            "--out", str(parent / "bench.csv"),
+        ], str(parent))
 
     def test_bench_exact_cap_defaults_to_sweep_spec(self, tmp_path, capsys):
         out = tmp_path / "cap.csv"

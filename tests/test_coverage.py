@@ -217,7 +217,7 @@ class TestDCGraph:
     @given(selections())
     def test_augmentation_against_oracle(self, case):
         # Every tag's augmented vector and both stand-in vectors, on
-        # vocabularies of up to 150 values with one side possibly empty.
+        # vocabularies of up to 150 values with either side possibly empty.
         inst, _ = case
         g = build_dc_graph(inst)
         aug = oracle_augmented(inst)
@@ -225,6 +225,7 @@ class TestDCGraph:
             assert positions(g.aug_mask(t)) == aug[t.id]
         assert positions(g.only_neg_mask) == aug["dp"]
         assert positions(g.only_pos_mask) == aug["dn"]
+        assert g.stand_ins == tuple(sum(1 << y for y in aug[d]) for d in ("dp", "dn"))
 
     def test_two_sided_instance_augments_nothing(self):
         rules = [

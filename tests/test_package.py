@@ -48,3 +48,17 @@ def test_only_datagen_imports_numpy():
                 continue
             found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "numpy"]
     assert found == []
+
+
+def test_only_coverage_reads_the_one_sided_masks():
+    # Which side's stand-in is which one-sided mask is decided by
+    # DCGraph.stand_ins alone; every other module reads the pair from it.
+    package = Path(tagselect.__file__).parent
+    found = [
+        f"{path.name}: {node.attr}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "coverage.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("only_pos_mask", "only_neg_mask")
+    ]
+    assert found == []

@@ -265,7 +265,7 @@ def summarize(rows: list[BenchRow]) -> list[str]:
             f"algorithm={alg}",
             f"rows={len(sub)}",
             f"mean_wall={sum(walls) / len(walls):.6g}" if walls else "mean_wall=nan",
-            f"p95_wall={_percentile(walls, 0.95):.6g}" if walls else "p95_wall=nan",
+            f"p95_wall={_percentile(walls, 0.95):.6g}",
             f"dead_end_rate={dead / len(sub):.4f}",
         ]
         if ratios:

@@ -3,8 +3,9 @@
 Raw rules are normalized into an immutable :class:`Instance` whose tags have
 dense, deterministic ids.  Everything here is safe to share across concurrent
 solver calls: no field changes after construction.  An instance keeps the
-solve inputs it builds on first use and the greedy routes' paths, which only
-grow (:meth:`Instance.extend_path`).
+solve inputs it builds on first use, a solver's own through the module that
+reads them, and the greedy routes' paths, which only grow
+(:meth:`Instance.extend_path`).
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
 from .errors import AttributeOutOfRange, EmptyInstance, InfeasiblePolarity
@@ -172,46 +171,10 @@ class Instance:
 
     @cached_property
     def search_order(self) -> tuple:
-        """Branch-and-bound's visiting order and the tables its bounds read,
-        as ``(tags, masks, relevances, size, rest, top_pos, top_neg)``.
+        """Branch-and-bound's inputs (:func:`build_search_order`)."""
+        from .solvers import build_search_order
 
-        ``tags`` holds the positives, then the negatives, each side by
-        descending coverage size, then id; ``masks`` and ``relevances``
-        follow it.  ``size[j] - size[i]`` sums the coverage sizes of
-        ``tags[i:j]``; ``rest[i]`` is the union of ``tags[i:]`` up to the
-        end of ``tags[i]``'s side; ``top_pos[i][q]`` and ``top_neg[i][q]``
-        sum the q largest relevances of that side among ``tags[i:]``.
-        """
-        tags = tuple(
-            sorted(self.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
-        )
-        masks = tuple(t.mask for t in tags)
-        rels = tuple(t.relevance for t in tags)
-        size = tuple(accumulate((m.bit_count() for m in masks), initial=0))
-        n, n_pos = len(tags), self.n_pos
-        rest = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
-        return (
-            tags, masks, rels, size, tuple(rest),
-            _suffix_top(rels, 0, n_pos), _suffix_top(rels, n_pos, n),
-        )
-
-
-def _suffix_top(rels: Sequence[float], start: int, stop: int) -> tuple[tuple[float, ...], ...]:
-    """``rows[i][q]``: sum of the q largest of ``rels[max(i, start):stop]``,
-    for every i from 0 to ``len(rels)``."""
-    n = len(rels)
-    rows = [(0.0,)] * (n + 1)
-    held: list[float] = []
-    for i in range(n - 1, -1, -1):
-        if start <= i < stop:
-            held.append(rels[i])
-            held.sort(reverse=True)
-            rows[i] = tuple(accumulate(held, initial=0.0))
-        else:
-            rows[i] = rows[i + 1]
-    return tuple(rows)
+        return build_search_order(self)
 
 
 @dataclass(frozen=True)
@@ -315,24 +278,17 @@ def build_instance(rules: Sequence[Rule], m: int, item_id: str = "item") -> Inst
     )
 
 
-def split_budget(k: int, alpha: float | Fraction) -> tuple[int, int]:
+def split_budget(k: int, alpha: float) -> tuple[int, int]:
     """k1 = ceil(alpha * k), k2 = k - k1.
 
-    Exact integer arithmetic when alpha is a Fraction; otherwise a guard
-    epsilon is subtracted before the ceiling so float alphas like 0.5 with
-    even k land on the intended integer.
+    A guard epsilon is subtracted before the ceiling so float alphas like
+    0.5 with even k land on the intended integer.
     """
-    if isinstance(alpha, Fraction):
-        k1 = math.ceil(alpha * k)
-    else:
-        k1 = math.ceil(alpha * k - EPS)
-    k1 = min(max(k1, 0), k)
+    k1 = min(max(math.ceil(alpha * k - EPS), 0), k)
     return k1, k - k1
 
 
-def make_params(
-    k: int, alpha: float | Fraction, beta: float, instance: Instance
-) -> Params:
+def make_params(k: int, alpha: float, beta: float, instance: Instance) -> Params:
     """Validate a solve request against an instance's sentiment counts."""
     try:
         k = operator.index(k)

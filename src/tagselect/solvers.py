@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 import operator
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, inf
 from typing import Sequence
 
@@ -457,32 +457,74 @@ def greedy_dc(
 # ---------------------------------------------------------------------------
 
 
+def _suffix_top(rels: Sequence[float], start: int, stop: int) -> tuple[tuple[float, ...], ...]:
+    """``rows[i][q]``: sum of the q largest of ``rels[max(i, start):stop]``,
+    for every i from 0 to ``len(rels)``."""
+    n = len(rels)
+    rows = [(0.0,)] * (n + 1)
+    held: list[float] = []
+    for i in range(n - 1, -1, -1):
+        if start <= i < stop:
+            held.append(rels[i])
+            held.sort(reverse=True)
+            rows[i] = tuple(accumulate(held, initial=0.0))
+        else:
+            rows[i] = rows[i + 1]
+    return tuple(rows)
+
+
+def build_search_order(instance: Instance) -> tuple:
+    """Branch-and-bound's visiting order and the tables its bounds read,
+    as ``(tags, masks, relevances, size, rest, top_pos, top_neg)``.
+
+    ``tags`` holds the positives, then the negatives, each side by
+    descending coverage size, then id; ``masks`` and ``relevances`` follow
+    it.  ``size[j] - size[i]`` sums the coverage sizes of ``tags[i:j]``;
+    ``rest[i]`` is the union of ``tags[i:]`` up to the end of ``tags[i]``'s
+    side; ``top_pos[i][q]`` and ``top_neg[i][q]`` sum the q largest
+    relevances of that side among ``tags[i:]``.
+    """
+    tags = tuple(
+        sorted(instance.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
+    )
+    masks = tuple(t.mask for t in tags)
+    rels = tuple(t.relevance for t in tags)
+    size = tuple(accumulate((m.bit_count() for m in masks), initial=0))
+    n, n_pos = len(tags), instance.n_pos
+    rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
+    return (
+        tags, masks, rels, size, tuple(rest),
+        _suffix_top(rels, 0, n_pos), _suffix_top(rels, n_pos, n),
+    )
+
+
 def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
     """Depth-first 0/1 search over tag inclusion maximizing the coverage of
     the selected positives' and negatives' unions P and N: ``cov_ic``,
     ``|P | N|``, or with ``dc`` the two-sided ``cov_dc``, ``|P & N|``, each
     union starting at its side's stand-in (:attr:`DCGraph.stand_ins`).
 
-    Tags are visited positives first, then negatives, each side by
-    descending coverage size, then id.  Once the positive quota is full the
-    search jumps to the first negative.  The search keeps its own stack, so
-    its depth is not bounded by the interpreter's recursion limit.
+    Tags are visited in :func:`build_search_order`'s order.  Once the
+    positive quota is full the search jumps to the first negative.  The
+    search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
 
     Pruning: sentiment-count feasibility, an optimistic relevance bound from
-    per-suffix sorted relevance prefix sums, an optimistic coverage bound
-    (each side's union extended by everything remaining on that side), and
-    a size bound: a tag adds at most its coverage size, and in this order
-    the q largest sizes left on a side are those of its next q tags.  For
-    the two-sided objective the size bound counts one side's q largest
-    sizes while the other side takes everything it has left, and takes the
-    smaller of the two such bounds.
+    per-suffix sorted relevance prefix sums, and size bounds: a tag adds at
+    most its coverage size, and in this order the q largest sizes left on a
+    side are those of its next q tags.  IC adds both sides' q largest sizes
+    to ``|P | N|``, and also prunes on the optimistic union, P | N with
+    every tag left.  DC prunes on two size bounds alone, each counting one
+    side's q largest sizes while the other side takes everything it has
+    left.
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
     k1, k2 = params.k1, params.k2
 
-    # The visiting order and its size, rest and suffix-top tables
-    # (Instance.search_order), built once per instance.
+    # The visiting order and its tables, built once per instance.
     tags, masks, rels, size, rest, top_pos, top_neg = instance.search_order
     n, n_pos = len(tags), instance.n_pos
 
@@ -516,8 +558,6 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
         top_pos_size = size[i + need_pos] - size[i]
         top_neg_size = size[first_neg + need_neg] - size[first_neg]
         if dc:
-            if ((pos_mask | rest_pos) & (neg_mask | rest_neg)).bit_count() <= best_val:
-                continue
             if (pos_mask & (neg_mask | rest_neg)).bit_count() + top_pos_size <= best_val:
                 continue
             if ((pos_mask | rest_pos) & neg_mask).bit_count() + top_neg_size <= best_val:

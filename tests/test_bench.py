@@ -3,6 +3,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,9 @@ class TestCsv:
 
         (line,) = bench.summarize([row(o) for o in bench.OUTCOMES])
         assert "dead_end_rate=0.2000" in line
+        # With no answered row there is no wall time to aggregate.
+        (line,) = bench.summarize([row(o) for o in bench.OUTCOMES if o != "ok"])
+        assert "mean_wall=nan p95_wall=nan dead_end_rate=0.2500" in line
 
     def test_comment_lines_carry_config_and_aggregates(self, tmp_path):
         spec = small_spec()
@@ -378,6 +382,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc != 0
         assert "short 2 positive and 2 negative" in err
+
+    def test_solve_dead_end_exits_one(self, tmp_path, capsys):
+        # At beta 1 no first pair of a-dc passes the relevance filter.
+        rules = datagen.random_rules(np.random.default_rng(0), 12, 4, 4)
+        path = tmp_path / "dead_end.rules.jsonl"
+        attrs = tuple(f"a{i}" for i in range(12))
+        rules_io.dump(rules_io.RulesDocument("item", attrs, tuple(rules)), path)
+        rc = main([
+            "solve", "--rules", str(path),
+            "--k", "3", "--alpha", "0.25", "--beta", "1.0", "--algorithm", "a-dc",
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "theta_dc = 4" in out.splitlines()
+        assert "rel = 0" in out.splitlines()
+        assert err.splitlines() == ["dead end: relevance filter emptied the candidate pool"]
 
     def test_solve_parse_error_has_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -101,6 +101,8 @@ class TestGenMatrix:
             SynthConfig(num_items=10, group_probs=())
         with pytest.raises(ValueError, match="at least one tag required"):
             SynthConfig(num_items=10, num_pos_tags=0, num_neg_tags=0)
+        with pytest.raises(ValueError, match="tag counts must be non-negative"):
+            SynthConfig(num_items=10, num_neg_tags=-1)
         # One empty side is a valid vocabulary.
         assert SynthConfig(num_items=10, num_pos_tags=0).num_tags == 50
 
@@ -289,6 +291,12 @@ class TestSampleInstance:
         with pytest.raises(IndexError):
             sample_instance(mx, rules, 10)
 
+    def test_rule_count_must_match_tag_columns(self):
+        mx = gen_matrix(small_config(num_items=10))
+        rules = extract_rules(mx)
+        with pytest.raises(ValueError, match=r"expected 10 rules aligned with tag columns, got 9"):
+            sample_instance(mx, rules[:-1], 0)
+
 
 class TestEstimateAlpha:
     def test_worked_number(self):
@@ -303,6 +311,10 @@ class TestEstimateAlpha:
     def test_no_data(self):
         with pytest.raises(NoData):
             estimate_alpha(DemographicRatings("g", (), 10.0))
+
+    def test_non_positive_scale_rejected(self):
+        with pytest.raises(ValueError, match="max_scale must be positive, got 0"):
+            DemographicRatings("g", (), max_scale=0)
 
     def test_rating_outside_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -62,3 +62,17 @@ def test_only_coverage_reads_the_one_sided_masks():
         if isinstance(node, ast.Attribute) and node.attr in ("only_pos_mask", "only_neg_mask")
     ]
     assert found == []
+
+
+def test_only_solvers_reads_the_search_order():
+    # Branch-and-bound's visiting order and tables are a positional tuple,
+    # written by solvers.build_search_order and read by solvers._bnb alone.
+    package = Path(tagselect.__file__).parent
+    found = [
+        f"{path.name}: {node.attr}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "solvers.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "search_order"
+    ]
+    assert found == []

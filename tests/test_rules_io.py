@@ -95,6 +95,12 @@ def test_duplicate_attributes_rejected():
     assert "unique" in str(err)
 
 
+def test_non_string_attribute_names_rejected():
+    err = error_line(json.dumps({"attributes": ["a", 1]}))
+    assert err.line_no == 1
+    assert "attribute names must be strings" in str(err)
+
+
 def test_non_object_line():
     err = error_line(json.dumps({"attributes": ["a"]}) + "\n[1, 2]")
     assert err.line_no == 2

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NoData
-from .model import Instance, Rule, Sentiment, build_instance, check_antecedents
+from .model import Instance, Rule, Sentiment, _normalize, build_instance, check_antecedents
 
 # Rows per generation block; one counter-keyed stream per block.
 BLOCK_ROWS = 16384
@@ -122,16 +122,20 @@ def draw_correlated_sets(config: SynthConfig) -> tuple[tuple[int, ...], ...]:
     return tuple(sets)
 
 
-def _majorities(
-    attrs: np.ndarray, correlated: Sequence[Sequence[int]]
-) -> Iterator[np.ndarray]:
-    """Per tag, the rows where strictly more than half of its correlated
-    attribute cells are 1 (ties count as 0)."""
+def _majorities(attrs: np.ndarray, correlated: Sequence[Sequence[int]]) -> np.ndarray:
+    """One row per tag, one column per row of ``attrs``: 1 where strictly
+    more than half of the tag's correlated attribute cells are 1 (ties
+    count as 0)."""
     # Summing whole rows of a column-major copy is several times faster
-    # than gathering columns of the row-major block.
+    # than gathering columns of the row-major block, and summing in the
+    # smallest type that holds the set's size several times faster again.
+    # Filling one array in place keeps a single temporary of that size.
     by_col = np.ascontiguousarray(attrs.T)
-    for corr in correlated:
-        yield 2 * by_col[list(corr)].sum(axis=0) > len(corr)
+    out = np.empty((len(correlated), len(attrs)), dtype=bool)
+    for corr, row in zip(correlated, out):
+        counts = by_col[list(corr)].sum(axis=0, dtype=np.min_scalar_type(len(corr)))
+        np.greater(counts, len(corr) // 2, out=row)
+    return out
 
 
 def gen_matrix(config: SynthConfig) -> SynthMatrix:
@@ -144,12 +148,11 @@ def gen_matrix(config: SynthConfig) -> SynthMatrix:
     probs = attribute_probs(config)
     data = np.empty((config.num_items, config.num_cols), dtype=bool)
     for block_start in range(0, config.num_items, BLOCK_ROWS):
-        block_rows = min(BLOCK_ROWS, config.num_items - block_start)
+        block = data[block_start : block_start + BLOCK_ROWS]
         rng = _stream(config.seed, block_start // BLOCK_ROWS)
-        attrs = rng.random((block_rows, config.num_attrs)) < probs
-        data[block_start : block_start + block_rows, : config.num_attrs] = attrs
-        for j, majority in enumerate(_majorities(attrs, correlated)):
-            data[block_start : block_start + block_rows, config.num_attrs + j] = majority
+        attrs = rng.random((len(block), config.num_attrs)) < probs
+        block[:, : config.num_attrs] = attrs
+        block[:, config.num_attrs :] = _majorities(attrs, correlated).T
     return SynthMatrix(config=config, data=data, correlated=correlated)
 
 
@@ -159,14 +162,13 @@ def extract_rules(matrix: SynthMatrix) -> list[Rule]:
     to [0.01, 1]."""
     config = matrix.config
     labels = tag_labels(config)
-    attrs = matrix.data[:, : config.num_attrs]
+    majorities = _majorities(matrix.data[:, : config.num_attrs], matrix.correlated)
+    hits = np.count_nonzero(majorities, axis=1).tolist()
+    majorities &= matrix.data[:, config.num_attrs :].T
+    fires = np.count_nonzero(majorities, axis=1).tolist()
     rules = []
-    for j, (corr, majority) in enumerate(
-        zip(matrix.correlated, _majorities(attrs, matrix.correlated))
-    ):
-        tag_col = matrix.data[:, config.num_attrs + j]
-        hits = int(majority.sum())
-        freq = float(tag_col[majority].sum() / hits) if hits else 0.0
+    for j, corr in enumerate(matrix.correlated):
+        freq = fires[j] / hits[j] if hits[j] else 0.0
         rules.append(
             Rule(
                 antecedent=frozenset(corr),
@@ -181,6 +183,8 @@ def extract_rules(matrix: SynthMatrix) -> list[Rule]:
 def sample_instance(matrix: SynthMatrix, rules: Sequence[Rule], item_row: int) -> Instance:
     """Instance for one item row: antecedents restricted to the item's active
     attribute values; rules whose tag bit is 0 for the item are dropped.
+    The restricted rules are normalized as :func:`build_instance` does,
+    from their fields, without building a :class:`Rule` for each.
 
     Every antecedent must lie in the attribute columns, whatever the row.
     """
@@ -192,18 +196,17 @@ def sample_instance(matrix: SynthMatrix, rules: Sequence[Rule], item_row: int) -
         raise ValueError(
             f"expected {config.num_tags} rules aligned with tag columns, got {len(rules)}"
         )
+    # Checking the full antecedents covers every restricted one.
     check_antecedents(rules, num_attrs)
     row = matrix.data[item_row]
     active = set(np.flatnonzero(row[:num_attrs]).tolist())
     kept = []
-    for rule, fired in zip(rules, row[num_attrs:].tolist()):
-        if fired:
-            restricted = rule.antecedent & active
-            if restricted:
-                kept.append(
-                    Rule(restricted, rule.tag_label, rule.sentiment, rule.probability)
-                )
-    return build_instance(kept, m=num_attrs, item_id=f"item-{item_row}")
+    for j in np.flatnonzero(row[num_attrs:]).tolist():
+        rule = rules[j]
+        restricted = rule.antecedent & active
+        if restricted:
+            kept.append((restricted, rule.tag_label, rule.sentiment, rule.probability))
+    return _normalize(kept, num_attrs, f"item-{item_row}")
 
 
 # ---------------------------------------------------------------------------

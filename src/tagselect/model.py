@@ -206,10 +206,11 @@ class Selection:
         return tuple(sorted(self.tag_ids))
 
 
-def _rule_sort_key(rule: Rule) -> tuple:
+def _rule_sort_key(entry: tuple) -> tuple:
     # Among rules for the same (label, sentiment): keep highest probability,
     # then the largest antecedent, then a fixed order on the antecedent itself.
-    return (rule.probability, len(rule.antecedent), tuple(sorted(rule.antecedent)))
+    antecedent, _, _, probability = entry
+    return (probability, len(antecedent), tuple(sorted(antecedent)))
 
 
 def check_antecedents(rules: Sequence[Rule], m: int) -> None:
@@ -239,43 +240,33 @@ def build_instance(rules: Sequence[Rule], m: int, item_id: str = "item") -> Inst
     """
     if m <= 0:
         raise ValueError(f"universe size m must be positive, got {m}")
-    if not rules:
-        raise EmptyInstance(f"no rules for item {item_id!r}")
-
     check_antecedents(rules, m)
-    # Keyed on (label, is positive): a bool hashes in C, an Enum in Python.
-    best: dict[tuple[str, bool], Rule] = {}
-    for rule in rules:
-        key = (rule.tag_label, rule.sentiment is _POSITIVE)
+    return _normalize(
+        [(r.antecedent, r.tag_label, r.sentiment, r.probability) for r in rules], m, item_id
+    )
+
+
+def _normalize(entries: Sequence[tuple], m: int, item_id: str) -> Instance:
+    """:func:`build_instance`'s normalization, from each rule's fields as
+    ``(antecedent, tag_label, sentiment, probability)``.  The antecedents
+    must be frozensets already checked against ``m``.  An empty list
+    raises :class:`EmptyInstance`."""
+    if not entries:
+        raise EmptyInstance(f"no rules for item {item_id!r}")
+    # Keyed on (is negative, label), the order of the ids: a bool hashes in
+    # C, an Enum in Python.
+    best: dict[tuple[bool, str], tuple] = {}
+    for entry in entries:
+        key = (entry[2] is not _POSITIVE, entry[1])
         held = best.get(key)
-        if held is None or _rule_sort_key(rule) > _rule_sort_key(held):
-            best[key] = rule
-
-    def block(positive: bool) -> list[Rule]:
-        return sorted(
-            (r for (_, is_pos), r in best.items() if is_pos is positive),
-            key=lambda r: r.tag_label,
-        )
-
-    positives = block(True)
-    ordered = positives + block(False)
+        if held is None or _rule_sort_key(entry) > _rule_sort_key(held):
+            best[key] = entry
     tags = tuple(
-        Tag(
-            id=i,
-            label=r.tag_label,
-            sentiment=r.sentiment,
-            relevance=r.probability,
-            coverage=frozenset(r.antecedent),
-        )
-        for i, r in enumerate(ordered)
+        Tag(i, label, sentiment, probability, antecedent)
+        for i, (_, (antecedent, label, sentiment, probability)) in enumerate(sorted(best.items()))
     )
-    return Instance(
-        item_id=item_id,
-        m=m,
-        tags=tags,
-        n_pos=len(positives),
-        n_neg=len(tags) - len(positives),
-    )
+    n_neg = sum(is_negative for is_negative, _ in best)
+    return Instance(item_id, m, tags, len(tags) - n_neg, n_neg)
 
 
 def split_budget(k: int, alpha: float) -> tuple[int, int]:

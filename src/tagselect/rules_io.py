@@ -117,10 +117,6 @@ def load(path: str | Path) -> RulesDocument:
     return loads(Path(path).read_text())
 
 
-def load_instance(path: str | Path) -> Instance:
-    return load(path).build()
-
-
 def dumps(doc: RulesDocument) -> str:
     lines = [
         json.dumps({"item": doc.item_id, "attributes": list(doc.attributes)})

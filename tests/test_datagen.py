@@ -63,8 +63,14 @@ class TestGenMatrix:
         assert np.array_equal(big.data[:300], small.data)
 
     def test_all_one_probabilities(self):
-        mx = gen_matrix(small_config(group_probs=(1.0, 1.0, 1.0, 1.0)))
-        assert mx.data.all()
+        configs = (
+            small_config(group_probs=(1.0, 1.0, 1.0, 1.0)),
+            # Sets of 256 attributes: a count of their ones needs 9 bits.
+            small_config(num_items=10, num_attrs=256, corr_min=256, corr_max=256,
+                         group_probs=(1.0,)),
+        )
+        for config in configs:
+            assert gen_matrix(config).data.all()
 
     def test_majority_is_strict(self):
         configs = (
@@ -122,6 +128,29 @@ class TestCatalogue:
         ])
         assert hashlib.sha256(rules.encode()).hexdigest() == (
             "666397ed76d74f2a13855ec697106aab240a6c08cadfc8f162af5a251ce2c300"
+        )
+
+    def test_item_pool_pinned(self):
+        # The item pool, drawn as the benchmark draws it: the first 1,000
+        # non-empty rows of a fixed permutation.
+        mx = gen_matrix(SynthConfig(num_items=20000, group_probs=(0.9, 0.5, 0.3, 0.1), seed=1602))
+        rules = extract_rules(mx)
+        pool = []
+        for row in np.random.default_rng([1602, 1]).permutation(20000).tolist():
+            if len(pool) == 1000:
+                break
+            try:
+                pool.append(sample_instance(mx, rules, row))
+            except EmptyInstance:
+                continue
+        pool = repr([
+            (inst.item_id, inst.m, inst.n_pos, inst.n_neg,
+             [(t.id, t.label, t.sentiment.value, t.relevance, sorted(t.coverage))
+              for t in inst.tags])
+            for inst in pool
+        ])
+        assert hashlib.sha256(pool.encode()).hexdigest() == (
+            "2cc47d053076785faf8dfdae384893175b43d1c8db96dc4676204ef3e5885277"
         )
 
 
@@ -206,6 +235,45 @@ def test_vectorized_paths_match_cell_loops(mx):
         assert outcome(sample_instance, mx, rules, row) == outcome(
             loop_sample_instance, mx, rules, row
         )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (({0, 1, 2}, 0.9), ({3, 4, 5, 6}, 0.4)),
+        (({0, 1, 2}, 0.6), ({3, 4, 5, 6}, 0.6)),
+        (({0, 1, 5}, 0.6), ({2, 3, 4}, 0.6)),
+        (({0, 1, 2}, 0.6), ({0, 1, 2}, 0.6)),
+    ],
+    ids=["probability", "probability_tie", "size_tie", "order_tie"],
+)
+def test_duplicate_tags_keep_the_best_restricted_rule(first, second):
+    # Two aligned rules for one (label, sentiment): on each row the
+    # restricted antecedents decide, by probability, then size, then order.
+    config = small_config(num_items=300, num_attrs=8, num_pos_tags=3, num_neg_tags=3,
+                          corr_min=2, corr_max=5, group_probs=(0.8, 0.4))
+    mx = gen_matrix(config)
+    rules = extract_rules(mx)
+    rules[0] = replace(rules[0], antecedent=frozenset(first[0]), probability=first[1])
+    rules[1] = replace(rules[1], tag_label=rules[0].tag_label,
+                       antecedent=frozenset(second[0]), probability=second[1])
+    both = 0
+    for row in range(config.num_items):
+        result = outcome(sample_instance, mx, rules, row)
+        assert result == outcome(loop_sample_instance, mx, rules, row)
+        cells = mx.data[row].tolist()
+        restricted = [
+            (p, frozenset(y for y in antecedent if cells[y]))
+            for (antecedent, p), fired in zip((first, second), cells[8:10])
+            if fired
+        ]
+        restricted = [(p, a) for p, a in restricted if a]
+        if len(restricted) == 2:
+            both += 1
+            p, a = max(restricted, key=lambda e: (e[0], len(e[1]), sorted(e[1])))
+            (tag,) = [t for t in result.tags if t.label == rules[0].tag_label]
+            assert (tag.relevance, tag.coverage) == (p, a)
+    assert both > 0
 
 
 class TestExtractRules:

@@ -64,6 +64,24 @@ def test_only_coverage_reads_the_one_sided_masks():
     assert found == []
 
 
+def test_sample_instance_builds_no_rules():
+    # Each item's vocabulary is normalized from the restricted rules' fields;
+    # the catalogue's rules were checked once, so a Rule per restricted
+    # antecedent, or build_instance's second check, is waste.
+    tree = ast.parse((Path(tagselect.__file__).parent / "datagen.py").read_text())
+    (function,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "sample_instance"
+    ]
+    found = [
+        ast.unparse(node.func)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+        in ("Rule", "build_instance")
+    ]
+    assert found == []
+
+
 def test_only_solvers_reads_the_search_order():
     # Branch-and-bound's visiting order and tables are a positional tuple,
     # written by solvers.build_search_order and read by solvers._bnb alone.

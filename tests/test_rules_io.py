@@ -46,10 +46,6 @@ def test_round_trip_drawn_documents(doc):
     assert rules_io.loads(rules_io.dumps(doc)) == doc
 
 
-def test_load_instance_shortcut(camera_rules_file, camera):
-    assert rules_io.load_instance(camera_rules_file) == camera
-
-
 def test_blank_lines_ignored():
     text = camera_rules_jsonl().replace("\n", "\n\n", 2)
     assert len(rules_io.loads(text).rules) == 6

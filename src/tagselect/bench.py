@@ -80,6 +80,13 @@ class SweepSpec:
             raise ValueError("at least one (k, alpha, beta) point required")
         if self.exact_cap < 0:
             raise ValueError(f"exact cap must be >= 0, got {self.exact_cap}")
+        # Ratios pair each row with its optimum by instance id.
+        if not isinstance(self.instances, RandomInstanceSpec):
+            seen: set[str] = set()
+            for inst in self.instances:
+                if inst.item_id in seen:
+                    raise ValueError(f"sweep instance ids must be unique; {inst.item_id!r} repeats")
+                seen.add(inst.item_id)
 
 
 @dataclass

@@ -68,11 +68,15 @@ def cmd_bench(args) -> int:
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     rows = bench_mod.run_sweep(spec, jobs=args.jobs)
     bench_mod.write_csv(rows, spec, args.out)
-    if args.assert_bounds:
-        bench_mod.assert_bounds(rows)
     for line in bench_mod.summarize(rows):
         print(line)
     print(f"wrote {len(rows)} rows to {args.out}")
+    if args.assert_bounds:
+        try:
+            bench_mod.assert_bounds(rows)
+        except AssertionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -190,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code: 0 on success, 1 on a
-    tagselect error or a greedy dead end, 2 on an invalid argument value, a
-    file that cannot be read, or a size too large to allocate (such as
-    ``gen --items 1000000000000``).  Errors print one ``error:`` line."""
+    tagselect error, a greedy dead end or a ratio over 2 under ``bench
+    --assert-bounds``, 2 on an invalid argument value, a file that cannot
+    be read, or a size too large to allocate (such as ``gen --items
+    1000000000000``).  Errors print one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .model import EPS, Instance, Params
-from .relevance import rel_max
+from .model import Instance, Params
+from .relevance import rel_need
 
 
 def _wrap(terms: list[str], indent: str = "    ") -> str:
@@ -36,9 +36,9 @@ def _sum_terms(names: list[str]) -> list[str]:
     return [name if i == 0 else f"+ {name}" for i, name in enumerate(names)]
 
 
-def _lp(instance: Instance, params: Params, dc: bool) -> str:
-    """The independent-coverage model, or the dependent-coverage one with
-    its two-sided linearization.
+def lp_text(instance: Instance, params: Params, model: str) -> str:
+    """The LP text of ``model``: ``"ic"``, independent coverage, or
+    ``"dc"``, dependent coverage with its two-sided linearization.
 
     Each value j gets one cover row per group of tags: y_j <= the sum of x
     over the group's tags that cover j.  Independent coverage has one group,
@@ -46,6 +46,9 @@ def _lp(instance: Instance, params: Params, dc: bool) -> str:
     side's group also covers the other side's one-sided values: there every
     tag of the side joins the row, and so does its stand-in.
     """
+    if model not in ("ic", "dc"):
+        raise ValueError(f"model must be 'ic' or 'dc', got {model!r}")
+    dc = model == "dc"
     pos, neg = instance.positives(), instance.negatives()
     y_names = [f"y_{j}" for j in range(instance.m)]
     # The item id comes from the rules file; json.dumps keeps it on one
@@ -63,7 +66,7 @@ def _lp(instance: Instance, params: Params, dc: bool) -> str:
             lines.append(f" {name}:\n{_wrap(_sum_terms([f'x_{t.id}' for t in side]))} = {quota}")
     # Round-trip digits, so that the row holds for the relevance sums the
     # solvers compare: nine digits can put the top set's sum below the bound.
-    need = params.beta * rel_max(instance.rel_benchmark, params.k1, params.k2) - EPS
+    need = rel_need(instance.rel_benchmark, params)
     rel_terms = _sum_terms([f"{t.relevance!r} x_{t.id}" for t in instance.tags])
     lines.append(f" relevance:\n{_wrap(rel_terms)} >= {need!r}")
     # (row name, tags, stand-in, values every tag of the group covers)
@@ -89,19 +92,5 @@ def _lp(instance: Instance, params: Params, dc: bool) -> str:
     return "\n".join(lines + ["End"]) + "\n"
 
 
-def lp_ic(instance: Instance, params: Params) -> str:
-    """Independent coverage: y_j <= sum of x over the tags covering value j."""
-    return _lp(instance, params, dc=False)
-
-
-def lp_dc(instance: Instance, params: Params) -> str:
-    """Dependent coverage with the two-sided linearization: y_j needs a
-    selected coverer on each sentiment side of the augmented graph, the two
-    stand-in tags being fixed selected."""
-    return _lp(instance, params, dc=True)
-
-
 def write_lp(instance: Instance, params: Params, model: str, path: str | Path) -> None:
-    if model not in ("ic", "dc"):
-        raise ValueError(f"model must be 'ic' or 'dc', got {model!r}")
-    Path(path).write_text(_lp(instance, params, dc=model == "dc"))
+    Path(path).write_text(lp_text(instance, params, model))

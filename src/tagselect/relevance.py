@@ -1,18 +1,19 @@
-"""Relevance totals and best-achievable relevance benchmarks.
+"""Relevance totals, and the bound a selection's relevance must reach.
 
 The beta constraint compares a selection's summed relevance against the best
-sum any quota-respecting selection of the same size could reach.  Prefix sums
-over the per-sentiment sorted relevance lists make every benchmark an O(x)
-lookup.
+sum any quota-respecting selection of the same size could reach
+(:func:`rel_need`).  Prefix sums over the per-sentiment sorted relevance
+lists make every benchmark an O(x) lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InfeasiblePolarity
-from .model import Instance, Tag, check_quotas
+from .model import EPS, Instance, Params, Tag, check_quotas
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,14 @@ class RelBenchmark:
     @classmethod
     def from_instance(cls, instance: Instance) -> "RelBenchmark":
         return cls(
-            prefix_pos=_prefix(t.relevance for t in instance.positives()),
-            prefix_neg=_prefix(t.relevance for t in instance.negatives()),
+            prefix_pos=prefix_sums(t.relevance for t in instance.positives()),
+            prefix_neg=prefix_sums(t.relevance for t in instance.negatives()),
         )
 
 
-def _prefix(relevances: Iterable[float]) -> tuple[float, ...]:
+def prefix_sums(relevances: Iterable[float]) -> tuple[float, ...]:
     """Prefix sums of the relevances in descending order, from 0."""
-    out = [0.0]
-    for v in sorted(relevances, reverse=True):
-        out.append(out[-1] + v)
-    return tuple(out)
+    return tuple(accumulate(sorted(relevances, reverse=True), initial=0.0))
 
 
 def rel_total(selection: Iterable[Tag]) -> float:
@@ -75,3 +73,12 @@ def stepwise_rel_max(benchmark: RelBenchmark, k1: int, k2: int, x: int) -> float
     return max(
         benchmark.prefix_pos[p] + benchmark.prefix_neg[x - p] for p in range(lo, hi + 1)
     )
+
+
+def rel_need(benchmark: RelBenchmark, params: Params, x: int | None = None) -> float:
+    """The relevance a selection must reach: beta times :func:`rel_max` for
+    all k tags, or with ``x`` times :func:`stepwise_rel_max` for greedy
+    step x, less ``EPS``."""
+    k1, k2 = params.k1, params.k2
+    best = rel_max(benchmark, k1, k2) if x is None else stepwise_rel_max(benchmark, k1, k2, x)
+    return params.beta * best - EPS

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import Infeasible, InstanceTooLarge
 from .model import EPS, Instance, Params, Selection, Tag, check_quotas
-from .relevance import rel_max, rel_total, stepwise_rel_max
+from .relevance import prefix_sums, rel_need, rel_total
 
 DEFAULT_EXACT_CAP = 30
 
@@ -81,15 +81,15 @@ class SolveReport:
 
 
 def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
-    """Shared set-up of the exact routes: refuse an unfillable quota, then an
-    oversized instance, then return the relevance every answer must reach."""
-    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
+    """Shared set-up of the exact routes: return the relevance every answer
+    must reach, refusing an unfillable quota, then an oversized instance."""
+    need = rel_need(instance.rel_benchmark, params)
     if instance.n > exact_cap:
         raise InstanceTooLarge(
             f"exhaustive solving refused for n={instance.n} tags "
             f"(cap {exact_cap}); raise exact_cap explicitly if you mean it"
         )
-    return params.beta * rel_max(instance.rel_benchmark, params.k1, params.k2) - EPS
+    return need
 
 
 def _reached(best, need: float):
@@ -278,7 +278,7 @@ def greedy_ic(
     rel_so_far = 0.0
     mask = 0
     for x in range(1, params.k + 1):
-        threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        threshold = rel_need(bench, params, x)
         if on_path and len(path) < x:
             # Grown only where no quota can refuse the new entry.
             on_path = left[0] > 0 and left[1] > 0
@@ -423,7 +423,7 @@ def greedy_dc(
     sides = _side_columns(instance, graph.aug)
     while len(chosen) < params.k:
         x = len(chosen) + (left[0] > 0) + (left[1] > 0)
-        threshold = params.beta * stepwise_rel_max(bench, params.k1, params.k2, x) - EPS
+        threshold = rel_need(bench, params, x)
         on_path = on_path and left[0] > 0 and left[1] > 0
         if on_path:
             step = len(chosen) // 2
@@ -457,32 +457,24 @@ def greedy_dc(
 # ---------------------------------------------------------------------------
 
 
-def _suffix_top(rels: Sequence[float], start: int, stop: int) -> tuple[tuple[float, ...], ...]:
-    """``rows[i][q]``: sum of the q largest of ``rels[max(i, start):stop]``,
-    for every i from 0 to ``len(rels)``."""
+def _suffix_top(rels: Sequence[float], n_pos: int) -> tuple[tuple[float, ...], ...]:
+    """``rows[i][q]``: sum of the q largest of ``rels[i:]`` up to the end of
+    position i's side, the first ``n_pos`` positions being one side;
+    ``rows[len(rels)] == (0.0,)``."""
     n = len(rels)
-    rows = [(0.0,)] * (n + 1)
-    held: list[float] = []
-    for i in range(n - 1, -1, -1):
-        if start <= i < stop:
-            held.append(rels[i])
-            held.sort(reverse=True)
-            rows[i] = tuple(accumulate(held, initial=0.0))
-        else:
-            rows[i] = rows[i + 1]
-    return tuple(rows)
+    return tuple(prefix_sums(rels[i : n_pos if i < n_pos else n]) for i in range(n)) + ((0.0,),)
 
 
 def build_search_order(instance: Instance) -> tuple:
     """Branch-and-bound's visiting order and the tables its bounds read,
-    as ``(tags, masks, relevances, size, rest, top_pos, top_neg)``.
+    as ``(tags, masks, relevances, size, rest, top)``.
 
     ``tags`` holds the positives, then the negatives, each side by
     descending coverage size, then id; ``masks`` and ``relevances`` follow
     it.  ``size[j] - size[i]`` sums the coverage sizes of ``tags[i:j]``;
     ``rest[i]`` is the union of ``tags[i:]`` up to the end of ``tags[i]``'s
-    side; ``top_pos[i][q]`` and ``top_neg[i][q]`` sum the q largest
-    relevances of that side among ``tags[i:]``.
+    side, and ``top[i][q]`` sums the q largest relevances among the same
+    tags (:func:`_suffix_top`).
     """
     tags = tuple(
         sorted(instance.tags, key=lambda t: (not t.is_positive, -t.mask.bit_count(), t.id))
@@ -494,10 +486,7 @@ def build_search_order(instance: Instance) -> tuple:
     rest = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         rest[i] = masks[i] | (0 if i + 1 == n_pos else rest[i + 1])
-    return (
-        tags, masks, rels, size, tuple(rest),
-        _suffix_top(rels, 0, n_pos), _suffix_top(rels, n_pos, n),
-    )
+    return tags, masks, rels, size, tuple(rest), _suffix_top(rels, n_pos)
 
 
 def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
@@ -525,7 +514,7 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
     k1, k2 = params.k1, params.k2
 
     # The visiting order and its tables, built once per instance.
-    tags, masks, rels, size, rest, top_pos, top_neg = instance.search_order
+    tags, masks, rels, size, rest, top = instance.search_order
     n, n_pos = len(tags), instance.n_pos
 
     best_val, best_rel, best_sel = -1, -1.0, None
@@ -550,7 +539,7 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
         first_neg = i if i > n_pos else n_pos
         if first_neg - i < need_pos or n - first_neg < need_neg:
             continue
-        if rel + top_pos[i][need_pos] + top_neg[i][need_neg] < need:
+        if rel + top[i][need_pos] + top[first_neg][need_neg] < need:
             continue
         rest_pos = rest[i] if i < n_pos else 0
         rest_neg = rest[first_neg]

@@ -210,6 +210,15 @@ class TestRunSweep:
             small_spec(exact_cap=-1)
         small_spec(exact_cap=0)
 
+    def test_spec_refuses_repeated_instance_ids(self):
+        # Ratios pair rows by instance id, so two instances sharing one
+        # would take each other's optimum.
+        twins = tuple(datagen.random_instance(seed=s, item_id="item") for s in (1, 2))
+        with pytest.raises(ValueError, match="'item' repeats"):
+            small_spec(instances=twins)
+        other = datagen.random_instance(seed=2, item_id="other")
+        assert len(bench.run_sweep(small_spec(instances=(twins[0], other)))) == 16
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -498,6 +507,22 @@ class TestCli:
         ], "exact cap must be >= 0, got -1")
         assert not out.exists()
 
+    def test_bench_assert_bounds_reports_after_the_summary(self, tmp_path, capsys):
+        # a-dc's ratio exceeds 2 on some of these instances: the run still
+        # prints its summary and the rows it wrote, then one error line.
+        out = tmp_path / "bounds.csv"
+        rc = main(["bench", "--instances", "10", "--algorithms", "a-dc,e-dc",
+                   "--k-values", "3", "--alpha-values", "0.34", "--beta-values", "0.5",
+                   "--assert-bounds", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == ["algorithm=a-dc", "algorithm=e-dc"]
+        assert lines[2] == f"wrote 20 rows to {out}"
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: ") and "violate the factor-2 bound" in error
+        assert len(bench.read_csv(out)) == 20
+
     def test_gen_negative_csv_rows_is_usage_error(self, tmp_path, capsys):
         small = ["gen", "--items", "50", "--attrs", "10", "--pos-tags", "3",
                  "--neg-tags", "3", "--csv"]
@@ -637,9 +662,9 @@ class TestCli:
         # Both models write exactly the exporter's text.
         instance = rules_io.load(camera_rules_file).build()
         params = make_params(2, 0.5, 0.5, instance)
-        for model, export in (("ic", lp_export.lp_ic), ("dc", lp_export.lp_dc)):
+        for model in ("ic", "dc"):
             rc = main(["export-lp", "--rules", str(camera_rules_file), "--k", "2",
                        "--alpha", "0.5", "--beta", "0.5", "--model", model,
                        "--out", str(out)])
             assert rc == 0
-            assert out.read_text() == export(instance, params)
+            assert out.read_text() == lp_export.lp_text(instance, params, model)

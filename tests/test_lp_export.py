@@ -17,7 +17,7 @@ from tagselect import (
     make_params,
 )
 from tagselect.datagen import random_instance
-from tagselect.lp_export import lp_dc, lp_ic, write_lp
+from tagselect.lp_export import lp_text, write_lp
 
 from test_coverage import oracle_augmented
 
@@ -32,7 +32,7 @@ def section(text, start, end):
 
 
 def test_ic_model_structure(camera, params):
-    text = lp_ic(camera, params)
+    text = lp_text(camera, params, "ic")
     assert text.startswith("\\")
     for keyword in ("Maximize", "Subject To", "Binary", "End"):
         assert keyword in text
@@ -44,18 +44,18 @@ def test_ic_model_structure(camera, params):
 
 
 def test_ic_objective_covers_all_values(camera, params):
-    obj = section(lp_ic(camera, params), "Maximize", "Subject To")
+    obj = section(lp_text(camera, params, "ic"), "Maximize", "Subject To")
     assert set(re.findall(r"y_(\d+)", obj)) == {str(j) for j in range(camera.m)}
 
 
 def test_ic_binary_section_lists_every_variable(camera, params):
-    binaries = section(lp_ic(camera, params), "Binary", "End")
+    binaries = section(lp_text(camera, params, "ic"), "Binary", "End")
     assert set(re.findall(r"x_(\d+)", binaries)) == {str(t.id) for t in camera.tags}
     assert len(re.findall(r"y_\d+", binaries)) == camera.m
 
 
 def test_ic_coverage_links_match_instance(camera, params):
-    text = lp_ic(camera, params)
+    text = lp_text(camera, params, "ic")
     for j in range(camera.m):
         block = section(text, f" cover_{j}:", ">= 0")
         xs = {int(i) for i in re.findall(r"x_(\d+)", block)}
@@ -63,7 +63,7 @@ def test_ic_coverage_links_match_instance(camera, params):
 
 
 def test_dc_model_has_two_sided_links_and_fixed_standins(camera, params):
-    text = lp_dc(camera, params)
+    text = lp_text(camera, params, "dc")
     assert len(re.findall(r"^ cover_pos_\d+:", text, re.M)) == camera.m
     assert len(re.findall(r"^ cover_neg_\d+:", text, re.M)) == camera.m
     assert "x_dp = 1" in text
@@ -77,7 +77,7 @@ def test_dc_model_has_two_sided_links_and_fixed_standins(camera, params):
 
 
 def test_relevance_threshold_uses_beta(camera):
-    relaxed = lp_ic(camera, make_params(2, 0.5, 0.0, camera))
+    relaxed = lp_text(camera, make_params(2, 0.5, 0.0, camera), "ic")
     block = section(relaxed, " relevance:", "\n cover_0")
     assert ">= -1e-09" in block  # beta 0 with the epsilon guard
 
@@ -116,17 +116,17 @@ def test_top_set_satisfies_relevance_row_at_beta_1(pos, neg, k, alpha):
         for side, q in ((inst.positives(), params.k1), (inst.negatives(), params.k2))
         for t in sorted(side, key=lambda t: t.relevance, reverse=True)[:q]
     )
-    for text in (lp_ic(inst, params), lp_dc(inst, params)):
+    for text in (lp_text(inst, params, "ic"), lp_text(inst, params, "dc")):
         coefficients, bound = relevance_row(text)
         assert sum(coefficients[i] for i in top) >= bound
 
 
-@pytest.mark.parametrize("export", [lp_ic, lp_dc])
-def test_item_id_stays_in_its_comment(camera, params, export):
+@pytest.mark.parametrize("model", ["ic", "dc"])
+def test_item_id_stays_in_its_comment(camera, params, model):
     # The id comes from a rules-file header: its line breaks must not start
     # a section of their own.
     inst = dataclasses.replace(camera, item_id="cam\nMaximize\r obj: x_0\r\nEnd")
-    lines = export(inst, params).splitlines()
+    lines = lp_text(inst, params, model).splitlines()
     assert lines.count("Maximize") == 1
     assert all(line.startswith("\\") for line in lines[: lines.index("Maximize")])
 
@@ -137,16 +137,16 @@ def test_write_lp(tmp_path, camera, params):
     assert path.read_text().rstrip().endswith("End")
     with pytest.raises(ValueError):
         write_lp(camera, params, "nope", path)
-    for model, export in (("ic", lp_ic), ("dc", lp_dc)):
+    for model in ("ic", "dc"):
         write_lp(camera, params, model, path)
-        assert path.read_text() == export(camera, params)
+        assert path.read_text() == lp_text(camera, params, model)
 
 
 def test_dc_model_leaves_the_dc_graph_unbuilt():
     # The model's rows come from the tags' coverage sets, not from the
     # augmented vectors the solvers it cross-checks read.
     inst = random_instance(seed=613, num_attrs=12, n_pos=4, n_neg=3)
-    lp_dc(inst, make_params(2, 0.5, 0.5, inst))
+    lp_text(inst, make_params(2, 0.5, 0.5, inst), "dc")
     assert "dc_graph" not in vars(inst)
 
 
@@ -160,7 +160,7 @@ def test_dc_cover_rows_match_oracle_augmentation():
     ]
     cases.append(random_instance(seed=612, num_attrs=10, n_pos=4, n_neg=0))
     for inst in cases:
-        text = lp_dc(inst, make_params(2, 1.0 if inst.n_neg == 0 else 0.5, 0.5, inst))
+        text = lp_text(inst, make_params(2, 1.0 if inst.n_neg == 0 else 0.5, 0.5, inst), "dc")
         aug = oracle_augmented(inst)
         for j in range(inst.m):
             for side, positive, stand_in in (("pos", True, "dp"), ("neg", False, "dn")):
@@ -251,14 +251,14 @@ def test_exported_models_solve_to_the_branch_and_bound_optimum(camera):
                     params = make_params(k, alpha, beta, inst)
                 except InfeasiblePolarity:
                     continue
-                for export, bnb in ((lp_ic, bnb_ic), (lp_dc, bnb_dc)):
+                for model, bnb in (("ic", bnb_ic), ("dc", bnb_dc)):
                     try:
                         expected = bnb(inst, params).objective_value
                     except Infeasible:
                         expected = None
                     if expected is not None:
                         expected = pytest.approx(expected, abs=1e-6)
-                    optimum = milp_optimum(export(inst, params))
-                    assert optimum == expected, (inst.item_id, k, beta, export.__name__)
+                    optimum = milp_optimum(lp_text(inst, params, model))
+                    assert optimum == expected, (inst.item_id, k, beta, model)
                     checks += 1
     assert checks > 250

@@ -82,6 +82,21 @@ def test_sample_instance_builds_no_rules():
     assert found == []
 
 
+def test_only_relevance_calls_the_relevance_benchmarks():
+    # The relevance a selection must reach is decided by relevance.rel_need
+    # alone; the routes and the LP writer call it, not the benchmarks.
+    package = Path(tagselect.__file__).parent
+    found = [
+        f"{path.name}: {ast.unparse(node.func)}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "relevance.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in ("rel_max", "stepwise_rel_max")
+    ]
+    assert found == []
+
+
 def test_only_solvers_reads_the_search_order():
     # Branch-and-bound's visiting order and tables are a positional tuple,
     # written by solvers.build_search_order and read by solvers._bnb alone.

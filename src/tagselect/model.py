@@ -16,7 +16,8 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import AttributeOutOfRange, EmptyInstance, InfeasiblePolarity
 
@@ -24,8 +25,8 @@ if TYPE_CHECKING:
     from .coverage import DCGraph
     from .relevance import RelBenchmark
 
-# Held while a greedy path is stored, so that a shorter copy never replaces a
-# longer one.
+# Held while a greedy path or fill path is stored, so that a shorter copy
+# never replaces a longer one.
 _PATH_LOCK = threading.Lock()
 
 # Guard subtracted before ceilings / added to >= tests so that binary float
@@ -121,23 +122,32 @@ class Instance:
         return self.tags[self.n_pos :]
 
     # The solve inputs below depend on the instance alone, so each is built
-    # on first use and kept.  So do the greedy routes' steps with both
-    # quotas open and no relevance filter: a-ic's (solvers.greedy_ic) and
-    # a-dc's pair steps (solvers.greedy_dc), kept as far as requests have
-    # grown them.  All live outside the dataclass fields: equality, hashing
-    # and repr ignore them.  The per-side columns are tuples of the tags'
-    # own floats and ints.
+    # on first use and kept.  So do the greedy routes' steps with no
+    # relevance filter: a-ic's (solvers.greedy_ic) and a-dc's pair steps
+    # (solvers.greedy_dc) with both quotas open, and each route's fill
+    # paths, its steps after one side fills, keyed by (steps taken on the
+    # path before, the full side); all kept as far as requests have grown
+    # them.  All live outside the dataclass fields: equality, hashing and
+    # repr ignore them.  The per-side columns are tuples of the tags' own
+    # floats and ints.
     ic_path: ClassVar[tuple] = ()
     dc_pair_path: ClassVar[tuple] = ()
+    ic_fill_paths: ClassVar[Mapping] = MappingProxyType({})
+    dc_fill_paths: ClassVar[Mapping] = MappingProxyType({})
 
-    def extend_path(self, name: str, path: tuple) -> None:
-        """Keep ``path`` as this instance's ``ic_path`` or ``dc_pair_path``
-        unless the one held is as long.  Every copy of a path is a prefix
-        of the same sequence, so two threads that grow it at once store
-        equal entries."""
+    def extend_path(self, name: str, path: tuple, key: tuple | None = None) -> None:
+        """Keep ``path`` as this instance's ``ic_path`` or ``dc_pair_path``,
+        or with ``key`` as that entry of ``ic_fill_paths`` or
+        ``dc_fill_paths``, unless the one held is as long.  Every copy of a
+        path is a prefix of the same sequence, so two threads that grow it
+        at once store equal entries."""
         with _PATH_LOCK:
-            if len(path) > len(getattr(self, name)):
-                vars(self)[name] = path
+            if key is None:
+                paths, key = vars(self), name
+            else:
+                paths = vars(self).setdefault(name, {})
+            if len(path) > len(paths.get(key, ())):
+                paths[key] = path
 
     @cached_property
     def rel_benchmark(self) -> RelBenchmark:

@@ -2,13 +2,14 @@
 
 The beta constraint compares a selection's summed relevance against the best
 sum any quota-respecting selection of the same size could reach
-(:func:`rel_need`).  Prefix sums over the per-sentiment sorted relevance
+(:func:`rel_need`), and a greedy step against the best at its own size
+(:func:`step_needs`).  Prefix sums over the per-sentiment sorted relevance
 lists make every benchmark an O(x) lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
@@ -22,11 +23,14 @@ class RelBenchmark:
 
     ``prefix_pos[i]`` is the sum of the i highest positive relevances
     (``prefix_pos[0] == 0``), so a side holds ``len(prefix_pos) - 1`` tags;
-    likewise for negative.
+    likewise for negative.  ``stepwise`` keeps, per quota pair (k1, k2)
+    requested, the greedy steps' maxima (:func:`step_needs`); equality,
+    hashing and repr ignore it.
     """
 
     prefix_pos: tuple[float, ...]
     prefix_neg: tuple[float, ...]
+    stepwise: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "RelBenchmark":
@@ -75,10 +79,19 @@ def stepwise_rel_max(benchmark: RelBenchmark, k1: int, k2: int, x: int) -> float
     )
 
 
-def rel_need(benchmark: RelBenchmark, params: Params, x: int | None = None) -> float:
-    """The relevance a selection must reach: beta times :func:`rel_max` for
-    all k tags, or with ``x`` times :func:`stepwise_rel_max` for greedy
-    step x, less ``EPS``."""
+def rel_need(benchmark: RelBenchmark, params: Params) -> float:
+    """The relevance a selection must reach: beta times :func:`rel_max`,
+    less ``EPS``."""
+    return params.beta * rel_max(benchmark, params.k1, params.k2) - EPS
+
+
+def step_needs(benchmark: RelBenchmark, params: Params) -> list[float]:
+    """The relevance greedy step x's selection must reach, for x = 1 … k1 +
+    k2: beta times :func:`stepwise_rel_max`, less ``EPS``.  The maxima
+    depend on the quotas alone, so the benchmark keeps them per (k1, k2)."""
     k1, k2 = params.k1, params.k2
-    best = rel_max(benchmark, k1, k2) if x is None else stepwise_rel_max(benchmark, k1, k2, x)
-    return params.beta * best - EPS
+    maxima = benchmark.stepwise.get((k1, k2))
+    if maxima is None:
+        maxima = tuple(stepwise_rel_max(benchmark, k1, k2, x) for x in range(1, k1 + k2 + 1))
+        benchmark.stepwise[k1, k2] = maxima
+    return [params.beta * best - EPS for best in maxima]

@@ -21,10 +21,13 @@ every subtree that can at best tie its incumbent: of the optimal selections
 it visits it keeps the one of highest relevance, the first in its visiting
 order among equals, so its selection can differ from the enumerator's.
 
-The greedy routes' steps with both quotas open and no relevance filter
-depend on the instance alone, which keeps them as a path that requests grow
-(:attr:`Instance.ic_path`, :attr:`Instance.dc_pair_path`); a request follows
-its route's path while the next step applies to it, then scans.
+The greedy routes' steps with no relevance filter depend on the instance
+alone, which keeps them as paths that requests grow: the steps with both
+quotas open (:attr:`Instance.ic_path`, :attr:`Instance.dc_pair_path`), and
+per (steps taken on that path, full side) the steps after one side fills
+(:attr:`Instance.ic_fill_paths`, :attr:`Instance.dc_fill_paths`); a request
+follows its route's paths while the next step passes its filter, then
+scans.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Sequence
 
 from .errors import Infeasible, InstanceTooLarge
 from .model import EPS, Instance, Params, Selection, Tag, check_quotas
-from .relevance import prefix_sums, rel_need, rel_total
+from .relevance import prefix_sums, rel_need, rel_total, step_needs
 
 DEFAULT_EXACT_CAP = 30
 
@@ -250,15 +253,17 @@ def greedy_ic(
     largest resulting coverage among those passing the per-step relevance
     filter.  Carries a 1/2 guarantee relative to the enumerator.
 
-    With both quotas open and no filter, the steps depend on the instance
-    alone: :attr:`Instance.ic_path` holds them as far as requests have
-    grown it.  A request takes the path's next entry while that entry's
-    side has quota left and the entry passes the filter: the request's
-    candidates are a subset of the path's that holds the entry, under the
-    same key.  Past the path's end it grows the path by one entry, with
-    :func:`_ic_scan` at threshold -inf, but only at a step with both quotas
-    open, where no quota can refuse the entry.  From the first entry that
-    fails, or a step it may not grow, it scans.
+    With no filter, the steps depend on the instance alone, and after one
+    side fills on them, on the steps taken before and which side is full
+    alone (:func:`_ic_scan` tests a quota only for being non-zero):
+    :attr:`Instance.ic_path` holds the steps with both quotas open, and
+    :attr:`Instance.ic_fill_paths` the steps after one side fills, each as
+    far as requests have grown it.  A request takes its path's next entry
+    while the entry passes the filter: the request's candidates are a
+    subset of the path's that holds the entry, under the same key.  When a
+    side fills it moves to the fill path for that side and step.  Past a
+    path's end it grows the path by one entry, with :func:`_ic_scan` at
+    threshold -inf.  From the first entry that fails, it scans.
 
     A step with an empty candidate pool is a dead end: the partial selection
     is returned flagged infeasible instead of relaxing the filter.
@@ -266,27 +271,32 @@ def greedy_ic(
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    bench = instance.rel_benchmark
+    needs = step_needs(instance.rel_benchmark, params)
     sides = _side_columns(instance, instance.side_masks)
     left = [params.k1, params.k2]
-    path = instance.ic_path
-    held = len(path)
+    name, path = "ic_path", instance.ic_path
+    held, step, key = len(path), 0, None
     on_path = True
 
     chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
     mask = 0
-    for x in range(1, params.k + 1):
-        threshold = rel_need(bench, params, x)
-        if on_path and len(path) < x:
-            # Grown only where no quota can refuse the new entry.
-            on_path = left[0] > 0 and left[1] > 0
-            if on_path:
-                path += (_ic_scan(sides, left, mask, taken, 0.0, -inf),)
+    for threshold in needs:
+        if on_path and key is None and not (left[0] and left[1]):
+            # A side filled on the path: the steps left depend on the steps
+            # taken and which side is full alone.
+            if len(path) > held:
+                instance.extend_path(name, path)
+            name, key = "ic_fill_paths", (step, left.index(0))
+            path = instance.ic_fill_paths.get(key, ())
+            held, step = len(path), 0
         if on_path:
-            best = path[x - 1]
-            on_path = left[best[1]] > 0 and rel_so_far + best[2] >= threshold
+            if len(path) == step:
+                path += (_ic_scan(sides, left, mask, taken, 0.0, -inf),)
+            best = path[step]
+            step += 1
+            on_path = rel_so_far + best[2] >= threshold
         if not on_path:
             best = _ic_scan(sides, left, mask, taken, rel_so_far, threshold)
             if best is None:
@@ -299,7 +309,7 @@ def greedy_ic(
         mask |= tag.mask
         left[side] -= 1
     if len(path) > held:
-        instance.extend_path("ic_path", path)
+        instance.extend_path(name, path, key)
     return SolveReport(
         algorithm=Algorithm.A_IC,
         selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
@@ -389,22 +399,25 @@ def greedy_dc(
     Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`), so
     scoring a pair costs two ANDs, one OR and a popcount.  The pair steps
     with both quotas open start each side from no member, so without the
-    filter they depend on the instance alone: :attr:`Instance.dc_pair_path`
-    holds them as far as requests have grown it, one pair at a time with
-    :func:`_pair_scan` at threshold -inf.  A request takes the path's next
-    pair, growing the path when it ends, while both quotas are open and the
-    pair passes the filter, which is the pair the scan would keep; from the
-    first pair that fails, it scans.  The reported theta is the one the
-    last step scored, or the two stand-ins' when no step took a pair.  A
-    step with an empty candidate pool is a dead end, as in
-    :func:`greedy_ic`, and ``exact_cap`` never refuses this route.
+    filter they depend on the instance alone, and the fill steps after them
+    on the pairs taken and which side is full alone:
+    :attr:`Instance.dc_pair_path` and :attr:`Instance.dc_fill_paths` hold
+    them as far as requests have grown them, one step at a time with
+    :func:`_pair_scan` at threshold -inf.  A request takes its path's next
+    step, growing the path when it ends, while the step passes the filter,
+    which is the step the scan would keep, and moves to the fill path for
+    its side and pair count when a side fills; from the first step that
+    fails, it scans.  The reported theta is the one the last step scored,
+    or the two stand-ins' when no step took a pair.  A step with an empty
+    candidate pool is a dead end, as in :func:`greedy_ic`, and
+    ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    bench = instance.rel_benchmark
+    needs = step_needs(instance.rel_benchmark, params)
     graph = instance.dc_graph
-    path = instance.dc_pair_path
-    held = len(path)
+    name, path = "dc_pair_path", instance.dc_pair_path
+    held, step, key = len(path), 0, None
     on_path = True
 
     chosen: list[Tag] = []
@@ -422,14 +435,20 @@ def greedy_dc(
     acc = [(0, full) if q else (stand_in, stand_in) for q, stand_in in zip(left, stand_ins)]
     sides = _side_columns(instance, graph.aug)
     while len(chosen) < params.k:
-        x = len(chosen) + (left[0] > 0) + (left[1] > 0)
-        threshold = rel_need(bench, params, x)
-        on_path = on_path and left[0] > 0 and left[1] > 0
+        threshold = needs[len(chosen) + (left[0] > 0) + (left[1] > 0) - 1]
+        if on_path and key is None and not (left[0] and left[1]):
+            # A side filled on the path: the steps left depend on the steps
+            # taken and which side is full alone.
+            if len(path) > held:
+                instance.extend_path(name, path)
+            name, key = "dc_fill_paths", (step, left.index(0))
+            path = instance.dc_fill_paths.get(key, ())
+            held, step = len(path), 0
         if on_path:
-            step = len(chosen) // 2
             if len(path) == step:
                 path += (_pair_scan(sides, left, acc, taken, full, 0.0, -inf),)
             best = path[step]
+            step += 1
             on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
         if not on_path:
             best = _pair_scan(sides, left, acc, taken, full, rel_so_far, threshold)
@@ -444,7 +463,7 @@ def greedy_dc(
                 left[side] -= 1
                 acc[side] = (o, a)
     if len(path) > held:
-        instance.extend_path("dc_pair_path", path)
+        instance.extend_path(name, path, key)
     return SolveReport(
         algorithm=Algorithm.A_DC,
         selection=_selection(chosen, "theta_dc", th, len(chosen) == params.k),

@@ -109,3 +109,19 @@ def test_only_solvers_reads_the_search_order():
         if isinstance(node, ast.Attribute) and node.attr == "search_order"
     ]
     assert found == []
+
+
+def test_only_model_writes_into_instances():
+    # The paths and fill paths an instance keeps are stored by
+    # Instance.extend_path alone, under its lock, so that a shorter copy never
+    # replaces a longer one; no other module reaches into an instance's vars().
+    package = Path(tagselect.__file__).parent
+    found = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "vars")
+        or (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+    ]
+    assert found == []

@@ -34,7 +34,7 @@ from tagselect import (
     stepwise_rel_max,
     theta_dc,
 )
-from tagselect import solvers
+from tagselect import relevance, solvers
 from tagselect.datagen import SynthConfig, extract_rules, gen_matrix, random_instance
 from tagselect.model import EPS, split_budget
 
@@ -747,6 +747,61 @@ class TestGreedyPaths:
         assert answers == [
             full_answer(solve, rebuilt(inst), params) for solve, inst, params in requests
         ]
+
+    def test_warm_repeats_scan_nothing(self, monkeypatch):
+        """A request repeated on a warm instance reads every step from a
+        path or fill path and every threshold from the kept maxima, also
+        at a second bound whose entries pass the filter."""
+        calls = dict.fromkeys(("_ic_scan", "_pair_scan", "stepwise_rel_max"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in (
+            (solvers, "_ic_scan"), (solvers, "_pair_scan"), (relevance, "stepwise_rel_max")
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        inst = random_instance(seed=[516, 3], num_attrs=30, n_pos=8, n_neg=8)
+        for k1, k2 in ((3, 1), (1, 3), (0, 3), (3, 0)):
+            warm = Params(k1 + k2, k1 / (k1 + k2), 0.5, k1, k2)
+            for solve in (greedy_ic, greedy_dc):
+                solve(inst, warm)
+            assert all(calls.values()), (k1, k2)
+            calls.update(dict.fromkeys(calls, 0))
+            for params in (warm, dataclasses.replace(warm, beta=0.3)):
+                assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
+                assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
+            assert calls == dict.fromkeys(calls, 0), (k1, k2)
+
+    def test_fill_paths_and_maxima_are_lazy_and_per_instance(self):
+        inst = random_instance(seed=513, num_attrs=200, n_pos=300, n_neg=300)
+        params = make_params(4, 0.75, 0.5, inst)
+        assert (params.k1, params.k2) == (3, 1)
+        greedy_dc(inst, params)
+        # At most one pair, then at most two fill steps with the negatives full.
+        assert len(inst.dc_pair_path) <= 1
+        assert inst.dc_fill_paths.keys() <= {(1, 1)}
+        assert all(len(path) <= 2 for path in inst.dc_fill_paths.values())
+        greedy_ic(inst, params)
+        assert len(inst.ic_path) + sum(map(len, inst.ic_fill_paths.values())) <= 4
+        assert len(inst.ic_fill_paths) <= 1
+        assert {q: len(m) for q, m in inst.rel_benchmark.stepwise.items()} == {(3, 1): 4}
+        fresh = rebuilt(inst)
+        assert fresh.rel_benchmark == inst.rel_benchmark
+        assert hash(fresh.rel_benchmark) == hash(inst.rel_benchmark)
+        assert repr(fresh.rel_benchmark) == repr(inst.rel_benchmark)
+        assert fresh.ic_fill_paths == fresh.dc_fill_paths == {}
+        greedy_dc(fresh, params)
+        greedy_ic(fresh, params)
+        for name in ("ic_fill_paths", "dc_fill_paths"):
+            held, grown = getattr(inst, name), getattr(fresh, name)
+            assert grown == held and grown is not held, name
+            assert all(grown[key] is not held[key] for key in held), name
+        assert fresh.rel_benchmark.stepwise == inst.rel_benchmark.stepwise
+        assert fresh.rel_benchmark.stepwise[3, 1] is not inst.rel_benchmark.stepwise[3, 1]
 
 
 class TestExactICAgainstReference:

@@ -66,7 +66,7 @@ def lp_text(instance: Instance, params: Params, model: str) -> str:
             lines.append(f" {name}:\n{_wrap(_sum_terms([f'x_{t.id}' for t in side]))} = {quota}")
     # Round-trip digits, so that the row holds for the relevance sums the
     # solvers compare: nine digits can put the top set's sum below the bound.
-    need = rel_need(instance.rel_benchmark, params)
+    need = rel_need(instance, params)
     rel_terms = _sum_terms([f"{t.relevance!r} x_{t.id}" for t in instance.tags])
     lines.append(f" relevance:\n{_wrap(rel_terms)} >= {need!r}")
     # (row name, tags, stand-in, values every tag of the group covers)

@@ -4,8 +4,7 @@ Raw rules are normalized into an immutable :class:`Instance` whose tags have
 dense, deterministic ids.  Everything here is safe to share across concurrent
 solver calls: no field changes after construction.  An instance keeps the
 solve inputs it builds on first use, a solver's own through the module that
-reads them, and the greedy routes' paths, which only grow
-(:meth:`Instance.extend_path`).
+reads them, and what greedy requests grow on it (:meth:`Instance.keep`).
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ if TYPE_CHECKING:
     from .coverage import DCGraph
     from .relevance import RelBenchmark
 
-# Held while a greedy path or fill path is stored, so that a shorter copy
-# never replaces a longer one.
-_PATH_LOCK = threading.Lock()
+# Held while Instance.keep stores, so that a shorter copy never replaces a
+# longer one.
+_KEEP_LOCK = threading.Lock()
 
 # Guard subtracted before ceilings / added to >= tests so that binary float
 # representation of values like 0.5 * 2 cannot flip an integer boundary.
@@ -122,32 +121,22 @@ class Instance:
         return self.tags[self.n_pos :]
 
     # The solve inputs below depend on the instance alone, so each is built
-    # on first use and kept.  So do the greedy routes' steps with no
-    # relevance filter: a-ic's (solvers.greedy_ic) and a-dc's pair steps
-    # (solvers.greedy_dc) with both quotas open, and each route's fill
-    # paths, its steps after one side fills, keyed by (steps taken on the
-    # path before, the full side); all kept as far as requests have grown
-    # them.  All live outside the dataclass fields: equality, hashing and
-    # repr ignore them.  The per-side columns are tuples of the tags' own
-    # floats and ints.
-    ic_path: ClassVar[tuple] = ()
-    dc_pair_path: ClassVar[tuple] = ()
-    ic_fill_paths: ClassVar[Mapping] = MappingProxyType({})
-    dc_fill_paths: ClassVar[Mapping] = MappingProxyType({})
+    # on first use and kept.  So is what greedy requests grow: ``grown``
+    # holds the greedy routes' unfiltered paths (solvers._path) and the
+    # steps' relevance maxima (relevance.step_needs).  All live outside the
+    # dataclass fields: equality, hashing and repr ignore them.  The
+    # per-side columns are tuples of the tags' own floats and ints.
+    grown: ClassVar[Mapping] = MappingProxyType({})
 
-    def extend_path(self, name: str, path: tuple, key: tuple | None = None) -> None:
-        """Keep ``path`` as this instance's ``ic_path`` or ``dc_pair_path``,
-        or with ``key`` as that entry of ``ic_fill_paths`` or
-        ``dc_fill_paths``, unless the one held is as long.  Every copy of a
-        path is a prefix of the same sequence, so two threads that grow it
-        at once store equal entries."""
-        with _PATH_LOCK:
-            if key is None:
-                paths, key = vars(self), name
-            else:
-                paths = vars(self).setdefault(name, {})
-            if len(path) > len(paths.get(key, ())):
-                paths[key] = path
+    def keep(self, key: tuple, value: tuple) -> None:
+        """Keep ``value`` in :attr:`grown` under ``key``, unless the value
+        held is as long.  Every copy of a key's value is a prefix of the
+        same sequence, so two threads that grow it at once store equal
+        values."""
+        with _KEEP_LOCK:
+            grown = vars(self).setdefault("grown", {})
+            if len(value) > len(grown.get(key, ())):
+                grown[key] = value
 
     @cached_property
     def rel_benchmark(self) -> RelBenchmark:

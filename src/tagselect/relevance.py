@@ -9,7 +9,7 @@ lists make every benchmark an O(x) lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
@@ -23,14 +23,11 @@ class RelBenchmark:
 
     ``prefix_pos[i]`` is the sum of the i highest positive relevances
     (``prefix_pos[0] == 0``), so a side holds ``len(prefix_pos) - 1`` tags;
-    likewise for negative.  ``stepwise`` keeps, per quota pair (k1, k2)
-    requested, the greedy steps' maxima (:func:`step_needs`); equality,
-    hashing and repr ignore it.
+    likewise for negative.
     """
 
     prefix_pos: tuple[float, ...]
     prefix_neg: tuple[float, ...]
-    stepwise: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "RelBenchmark":
@@ -79,19 +76,22 @@ def stepwise_rel_max(benchmark: RelBenchmark, k1: int, k2: int, x: int) -> float
     )
 
 
-def rel_need(benchmark: RelBenchmark, params: Params) -> float:
+def rel_need(instance: Instance, params: Params) -> float:
     """The relevance a selection must reach: beta times :func:`rel_max`,
     less ``EPS``."""
-    return params.beta * rel_max(benchmark, params.k1, params.k2) - EPS
+    return params.beta * rel_max(instance.rel_benchmark, params.k1, params.k2) - EPS
 
 
-def step_needs(benchmark: RelBenchmark, params: Params) -> list[float]:
+def step_needs(instance: Instance, params: Params) -> list[float]:
     """The relevance greedy step x's selection must reach, for x = 1 … k1 +
     k2: beta times :func:`stepwise_rel_max`, less ``EPS``.  The maxima
-    depend on the quotas alone, so the benchmark keeps them per (k1, k2)."""
+    depend on the quotas alone, so the instance keeps them under
+    ``("stepwise", k1, k2)`` (:meth:`Instance.keep`)."""
     k1, k2 = params.k1, params.k2
-    maxima = benchmark.stepwise.get((k1, k2))
+    key = ("stepwise", k1, k2)
+    maxima = instance.grown.get(key)
     if maxima is None:
-        maxima = tuple(stepwise_rel_max(benchmark, k1, k2, x) for x in range(1, k1 + k2 + 1))
-        benchmark.stepwise[k1, k2] = maxima
+        bench = instance.rel_benchmark
+        maxima = tuple(stepwise_rel_max(bench, k1, k2, x) for x in range(1, k1 + k2 + 1))
+        instance.keep(key, maxima)
     return [params.beta * best - EPS for best in maxima]

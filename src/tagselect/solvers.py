@@ -21,13 +21,8 @@ every subtree that can at best tie its incumbent: of the optimal selections
 it visits it keeps the one of highest relevance, the first in its visiting
 order among equals, so its selection can differ from the enumerator's.
 
-The greedy routes' steps with no relevance filter depend on the instance
-alone, which keeps them as paths that requests grow: the steps with both
-quotas open (:attr:`Instance.ic_path`, :attr:`Instance.dc_pair_path`), and
-per (steps taken on that path, full side) the steps after one side fills
-(:attr:`Instance.ic_fill_paths`, :attr:`Instance.dc_fill_paths`); a request
-follows its route's paths while the next step passes its filter, then
-scans.
+The greedy routes follow the unfiltered paths that earlier requests grew on
+the instance while each step passes the request's filter (:func:`_path`).
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ class SolveReport:
 def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
     """Shared set-up of the exact routes: return the relevance every answer
     must reach, refusing an unfillable quota, then an oversized instance."""
-    need = rel_need(instance.rel_benchmark, params)
+    need = rel_need(instance, params)
     if instance.n > exact_cap:
         raise InstanceTooLarge(
             f"exhaustive solving refused for n={instance.n} tags "
@@ -246,24 +241,39 @@ def _ic_scan(sides, left, mask: int, taken: set[int], rel_so_far: float, thresho
     return None if best is None else (best, best_side, best_rel)
 
 
+def _path(instance: Instance, route: str, left: list[int], step: int = 0) -> tuple:
+    """Open the path a greedy request on ``route``, "a-ic" or "a-dc", with
+    quotas ``left`` follows next, as (key, path, held) where ``held`` is
+    the length kept.
+
+    With no relevance filter a route's steps depend on the instance alone
+    while both quotas are open, and after one side fills, on the steps
+    taken and which side is full alone (the scans test a quota only for
+    being non-zero).  So :attr:`Instance.grown` keeps them, each as far as
+    requests have grown it: under ``(route, 0, None)`` the steps with both
+    quotas open, and under ``(route, s, side)`` the steps taken after
+    ``side`` filled once ``s`` steps were taken; a request with a zero
+    quota starts on ``(route, 0, side)``.  A request takes its path's next
+    step while the step passes its filter: its candidates are a subset of
+    the path's that holds the step, under the same key, so it is the step
+    the scan would keep.  When a side fills it opens the path for that
+    side and step.  Past a path's end it grows the path by one step, a scan
+    at threshold -inf, and keeps it (:meth:`Instance.keep`).  From the
+    first step that fails, it scans.
+    """
+    key = (route, step, None if left[0] and left[1] else left.index(0))
+    path = instance.grown.get(key, ())
+    return key, path, len(path)
+
+
 def greedy_ic(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
     """Greedy approximation: k rounds of adding the quota-open tag with the
     largest resulting coverage among those passing the per-step relevance
-    filter.  Carries a 1/2 guarantee relative to the enumerator.
-
-    With no filter, the steps depend on the instance alone, and after one
-    side fills on them, on the steps taken before and which side is full
-    alone (:func:`_ic_scan` tests a quota only for being non-zero):
-    :attr:`Instance.ic_path` holds the steps with both quotas open, and
-    :attr:`Instance.ic_fill_paths` the steps after one side fills, each as
-    far as requests have grown it.  A request takes its path's next entry
-    while the entry passes the filter: the request's candidates are a
-    subset of the path's that holds the entry, under the same key.  When a
-    side fills it moves to the fill path for that side and step.  Past a
-    path's end it grows the path by one entry, with :func:`_ic_scan` at
-    threshold -inf.  From the first entry that fails, it scans.
+    filter.  Carries a 1/2 guarantee relative to the enumerator.  Steps
+    that pass the filter are read from the instance's paths
+    (:func:`_path`), others from :func:`_ic_scan`.
 
     A step with an empty candidate pool is a dead end: the partial selection
     is returned flagged infeasible instead of relaxing the filter.
@@ -271,11 +281,11 @@ def greedy_ic(
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    needs = step_needs(instance.rel_benchmark, params)
+    needs = step_needs(instance, params)
     sides = _side_columns(instance, instance.side_masks)
     left = [params.k1, params.k2]
-    name, path = "ic_path", instance.ic_path
-    held, step, key = len(path), 0, None
+    key, path, held = _path(instance, "a-ic", left)
+    step = 0
     on_path = True
 
     chosen: list[Tag] = []
@@ -283,14 +293,11 @@ def greedy_ic(
     rel_so_far = 0.0
     mask = 0
     for threshold in needs:
-        if on_path and key is None and not (left[0] and left[1]):
-            # A side filled on the path: the steps left depend on the steps
-            # taken and which side is full alone.
+        if on_path and not (left[0] and left[1]) and key[2] is None:
             if len(path) > held:
-                instance.extend_path(name, path)
-            name, key = "ic_fill_paths", (step, left.index(0))
-            path = instance.ic_fill_paths.get(key, ())
-            held, step = len(path), 0
+                instance.keep(key, path)
+            key, path, held = _path(instance, "a-ic", left, step)
+            step = 0
         if on_path:
             if len(path) == step:
                 path += (_ic_scan(sides, left, mask, taken, 0.0, -inf),)
@@ -309,7 +316,7 @@ def greedy_ic(
         mask |= tag.mask
         left[side] -= 1
     if len(path) > held:
-        instance.extend_path(name, path, key)
+        instance.keep(key, path)
     return SolveReport(
         algorithm=Algorithm.A_IC,
         selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
@@ -397,28 +404,17 @@ def greedy_dc(
     invisible to the myopic pair step.
 
     Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`), so
-    scoring a pair costs two ANDs, one OR and a popcount.  The pair steps
-    with both quotas open start each side from no member, so without the
-    filter they depend on the instance alone, and the fill steps after them
-    on the pairs taken and which side is full alone:
-    :attr:`Instance.dc_pair_path` and :attr:`Instance.dc_fill_paths` hold
-    them as far as requests have grown them, one step at a time with
-    :func:`_pair_scan` at threshold -inf.  A request takes its path's next
-    step, growing the path when it ends, while the step passes the filter,
-    which is the step the scan would keep, and moves to the fill path for
-    its side and pair count when a side fills; from the first step that
-    fails, it scans.  The reported theta is the one the last step scored,
-    or the two stand-ins' when no step took a pair.  A step with an empty
-    candidate pool is a dead end, as in :func:`greedy_ic`, and
+    scoring a pair costs two ANDs, one OR and a popcount.  Steps that pass
+    the filter are read from the instance's paths (:func:`_path`), others
+    from :func:`_pair_scan`.  The reported theta is the one the last step
+    scored, or the two stand-ins' when no step took a pair.  A step with an
+    empty candidate pool is a dead end, as in :func:`greedy_ic`, and
     ``exact_cap`` never refuses this route.
     """
     t0 = time.perf_counter()
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    needs = step_needs(instance.rel_benchmark, params)
+    needs = step_needs(instance, params)
     graph = instance.dc_graph
-    name, path = "dc_pair_path", instance.dc_pair_path
-    held, step, key = len(path), 0, None
-    on_path = True
 
     chosen: list[Tag] = []
     taken: set[int] = set()
@@ -434,16 +430,16 @@ def greedy_dc(
     left = [params.k1, params.k2]
     acc = [(0, full) if q else (stand_in, stand_in) for q, stand_in in zip(left, stand_ins)]
     sides = _side_columns(instance, graph.aug)
+    key, path, held = _path(instance, "a-dc", left)
+    step = 0
+    on_path = True
     while len(chosen) < params.k:
         threshold = needs[len(chosen) + (left[0] > 0) + (left[1] > 0) - 1]
-        if on_path and key is None and not (left[0] and left[1]):
-            # A side filled on the path: the steps left depend on the steps
-            # taken and which side is full alone.
+        if on_path and not (left[0] and left[1]) and key[2] is None:
             if len(path) > held:
-                instance.extend_path(name, path)
-            name, key = "dc_fill_paths", (step, left.index(0))
-            path = instance.dc_fill_paths.get(key, ())
-            held, step = len(path), 0
+                instance.keep(key, path)
+            key, path, held = _path(instance, "a-dc", left, step)
+            step = 0
         if on_path:
             if len(path) == step:
                 path += (_pair_scan(sides, left, acc, taken, full, 0.0, -inf),)
@@ -463,7 +459,7 @@ def greedy_dc(
                 left[side] -= 1
                 acc[side] = (o, a)
     if len(path) > held:
-        instance.extend_path(name, path, key)
+        instance.keep(key, path)
     return SolveReport(
         algorithm=Algorithm.A_DC,
         selection=_selection(chosen, "theta_dc", th, len(chosen) == params.k),

@@ -83,8 +83,9 @@ def test_sample_instance_builds_no_rules():
 
 
 def test_only_relevance_calls_the_relevance_benchmarks():
-    # The relevance a selection must reach is decided by relevance.rel_need
-    # alone; the routes and the LP writer call it, not the benchmarks.
+    # The relevance a selection and a greedy step must reach are decided by
+    # relevance.rel_need and relevance.step_needs alone; the routes and the
+    # LP writer call them, not the benchmarks.
     package = Path(tagselect.__file__).parent
     found = [
         f"{path.name}: {ast.unparse(node.func)}"
@@ -112,8 +113,8 @@ def test_only_solvers_reads_the_search_order():
 
 
 def test_only_model_writes_into_instances():
-    # The paths and fill paths an instance keeps are stored by
-    # Instance.extend_path alone, under its lock, so that a shorter copy never
+    # The paths, fill paths and step maxima an instance keeps are stored by
+    # Instance.keep alone, under its lock, so that a shorter copy never
     # replaces a longer one; no other module reaches into an instance's vars().
     package = Path(tagselect.__file__).parent
     found = [

@@ -285,7 +285,7 @@ class TestGreedyDC:
             camera.tags[i] for i in ranked[3][2:]
         ]
         report = greedy_dc(camera, params)
-        pos, neg, th = camera.dc_pair_path[0]
+        pos, neg, th = camera.grown["a-dc", 0, None][0]
         assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
         assert set(ranked[3][2:]) < report.selection.tag_ids
         assert greedy_outcome(report) == reference_greedy_dc(camera, params)
@@ -664,7 +664,7 @@ class TestDCFirstPairs:
             assert ranked == ()
             return
         greedy_dc(inst, Params(k=2, alpha=0.5, beta=0.0, k1=1, k2=1))
-        ((pos, neg, th),) = inst.dc_pair_path
+        ((pos, neg, th),) = inst.grown["a-dc", 0, None]
         assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
 
 
@@ -679,6 +679,11 @@ def replayed_requests(draw):
         k2 = draw(st.integers(0 if k1 else 1, inst.n_neg))
         requests.append(Params(k1 + k2, k1 / (k1 + k2), draw(st.sampled_from(BETAS)), k1, k2))
     return inst, requests
+
+
+def both_open(inst, route):
+    """The steps ``route`` keeps on ``inst`` with both quotas open."""
+    return inst.grown.get((route, 0, None), ())
 
 
 class TestGreedyPaths:
@@ -696,9 +701,9 @@ class TestGreedyPaths:
     def test_growth_is_lazy_at_catalogue_scale(self):
         inst = random_instance(seed=513, num_attrs=200, n_pos=300, n_neg=300)
         greedy_dc(inst, make_params(2, 0.5, 0.5, inst))
-        assert len(inst.dc_pair_path) <= 1
+        assert len(both_open(inst, "a-dc")) <= 1
         greedy_ic(inst, make_params(4, 0.5, 0.5, inst))
-        assert len(inst.ic_path) <= 4
+        assert len(both_open(inst, "a-ic")) <= 4
 
     def test_growth_stops_where_a_request_leaves_the_path(self):
         rules = [
@@ -713,17 +718,17 @@ class TestGreedyPaths:
         # so each request scans from its first step and grows nothing more.
         assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
-        ((wide, _, _),) = inst.ic_path
-        (((pos, *_), _, _),) = inst.dc_pair_path
+        ((wide, _, _),) = both_open(inst, "a-ic")
+        (((pos, *_), _, _),) = both_open(inst, "a-dc")
         assert inst.tags[wide].label == inst.tags[pos].label == "wide"
 
     def test_a_shorter_path_never_replaces_a_longer_one(self):
         inst = random_instance(seed=515, num_attrs=14, n_pos=4, n_neg=4)
         greedy_ic(inst, make_params(8, 0.5, 0.0, inst))
-        grown = inst.ic_path
+        grown = both_open(inst, "a-ic")
         assert len(grown) >= 4
-        inst.extend_path("ic_path", grown[:2])
-        assert inst.ic_path is grown
+        inst.keep(("a-ic", 0, None), grown[:2])
+        assert both_open(inst, "a-ic") is grown
 
     def test_threads_sharing_instances_answer_as_fresh(self):
         shared = [random_instance(seed=[514, i], num_attrs=30, n_pos=8, n_neg=8) for i in range(4)]
@@ -782,26 +787,54 @@ class TestGreedyPaths:
         assert (params.k1, params.k2) == (3, 1)
         greedy_dc(inst, params)
         # At most one pair, then at most two fill steps with the negatives full.
-        assert len(inst.dc_pair_path) <= 1
-        assert inst.dc_fill_paths.keys() <= {(1, 1)}
-        assert all(len(path) <= 2 for path in inst.dc_fill_paths.values())
+        assert len(both_open(inst, "a-dc")) <= 1
+        fills = {
+            key: path for key, path in inst.grown.items() if key[0] == "a-dc" and key[2] is not None
+        }
+        assert fills.keys() <= {("a-dc", 1, 1)}
+        assert all(len(path) <= 2 for path in fills.values())
         greedy_ic(inst, params)
-        assert len(inst.ic_path) + sum(map(len, inst.ic_fill_paths.values())) <= 4
-        assert len(inst.ic_fill_paths) <= 1
-        assert {q: len(m) for q, m in inst.rel_benchmark.stepwise.items()} == {(3, 1): 4}
+        ic = [path for (route, *_), path in inst.grown.items() if route == "a-ic"]
+        assert sum(map(len, ic)) <= 4
+        assert len(ic) <= 2
+        stepwise = {key: len(maxima) for key, maxima in inst.grown.items() if key[0] == "stepwise"}
+        assert stepwise == {("stepwise", 3, 1): 4}
         fresh = rebuilt(inst)
-        assert fresh.rel_benchmark == inst.rel_benchmark
-        assert hash(fresh.rel_benchmark) == hash(inst.rel_benchmark)
-        assert repr(fresh.rel_benchmark) == repr(inst.rel_benchmark)
-        assert fresh.ic_fill_paths == fresh.dc_fill_paths == {}
+        assert fresh == inst and hash(fresh) == hash(inst) and repr(fresh) == repr(inst)
+        assert fresh.grown == {}
         greedy_dc(fresh, params)
         greedy_ic(fresh, params)
-        for name in ("ic_fill_paths", "dc_fill_paths"):
-            held, grown = getattr(inst, name), getattr(fresh, name)
-            assert grown == held and grown is not held, name
-            assert all(grown[key] is not held[key] for key in held), name
-        assert fresh.rel_benchmark.stepwise == inst.rel_benchmark.stepwise
-        assert fresh.rel_benchmark.stepwise[3, 1] is not inst.rel_benchmark.stepwise[3, 1]
+        assert fresh.grown == inst.grown and fresh.grown is not inst.grown
+        assert all(fresh.grown[key] is not inst.grown[key] for key in inst.grown)
+
+    def test_one_key_scheme_for_all_grown_state(self):
+        """Paths are kept under (route, steps taken, full side), both-open
+        paths with side None and zero quotas starting on their full side's
+        path at step 0; step maxima under ("stepwise", k1, k2)."""
+        inst = random_instance(seed=[517], num_attrs=30, n_pos=8, n_neg=8)
+        quotas = ((3, 1), (1, 3), (0, 3), (3, 0), (2, 2), (0, 1), (4, 0))
+        requests = [
+            Params(k1 + k2, k1 / (k1 + k2), beta, k1, k2)
+            for k1, k2 in quotas
+            for beta in (0.0, 0.5)
+        ]
+        for params in requests:
+            greedy_ic(inst, params)
+        assert {route for route, *_ in inst.grown} == {"a-ic", "stepwise"}
+        for params in requests:
+            greedy_dc(inst, params)
+        for (route, s, side), value in inst.grown.items():
+            if route == "stepwise":
+                assert (s, side) in quotas
+                assert len(value) == s + side
+                assert all(type(best) is float for best in value)
+            else:
+                assert route in ("a-ic", "a-dc") and value
+                assert (s, side) == (0, None) or (side in (0, 1) and s >= 0), (route, s, side)
+        for route in ("a-ic", "a-dc"):
+            assert {(route, 0, None), (route, 0, 0), (route, 0, 1)} <= inst.grown.keys()
+            assert any(route == r and s > 0 for r, s, _ in inst.grown)
+        assert [f.name for f in dataclasses.fields(RelBenchmark)] == ["prefix_pos", "prefix_neg"]
 
 
 class TestExactICAgainstReference:
@@ -1326,8 +1359,6 @@ def full_answer(solve, inst, params):
 
 # The solve inputs an instance builds on first use and keeps.
 CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_relevances", "side_masks", "search_order"}
-# The greedy routes' paths, grown only as far as requests went.
-PATHS = {"ic_path", "dc_pair_path"}
 
 
 class TestSolveInputsBuiltOnce:
@@ -1373,17 +1404,17 @@ class TestSolveInputsBuiltOnce:
         for solve in solvers.SOLVERS.values():
             full_answer(solve, inst, params)
         assert CACHED_INPUTS <= vars(inst).keys()
-        # Each route grows its path only at steps with both quotas open: a-ic
-        # by at most k tags, a-dc by at most min(k1, k2) pairs.
-        assert len(inst.ic_path) <= params.k
-        assert len(inst.dc_pair_path) <= min(params.k1, params.k2)
-        for name in PATHS:
-            assert (name in vars(inst)) == (params.k1 > 0 and params.k2 > 0), name
+        # Each route grows its both-open path only at steps with both quotas
+        # open: a-ic by at most k tags, a-dc by at most min(k1, k2) pairs.
+        assert len(both_open(inst, "a-ic")) <= params.k
+        assert len(both_open(inst, "a-dc")) <= min(params.k1, params.k2)
+        for route in ("a-ic", "a-dc"):
+            has_path = (route, 0, None) in inst.grown
+            assert has_path == (params.k1 > 0 and params.k2 > 0), route
         fresh = rebuilt(inst)
         for algorithm, solve in solvers.SOLVERS.items():
             assert full_answer(solve, inst, params) == full_answer(solve, fresh, params), algorithm
-        for name in PATHS:
-            assert getattr(fresh, name) == getattr(inst, name), name
+        assert fresh.grown == inst.grown
 
     def test_inputs_are_per_instance_and_outside_equality(self):
         warm = random_instance(seed=[511], num_attrs=14, n_pos=6, n_neg=6)
@@ -1391,17 +1422,17 @@ class TestSolveInputsBuiltOnce:
         params = make_params(4, 0.5, 0.3, warm)
         for solve in solvers.SOLVERS.values():
             solve(warm, params)
-        assert CACHED_INPUTS | PATHS <= vars(warm).keys()
-        assert not (CACHED_INPUTS | PATHS) & vars(cold).keys()
-        assert cold.ic_path == cold.dc_pair_path == ()
+        assert CACHED_INPUTS | {"grown"} <= vars(warm).keys()
+        assert not (CACHED_INPUTS | {"grown"}) & vars(cold).keys()
+        assert cold.grown == {}
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         for name in CACHED_INPUTS:
             assert getattr(cold, name) == getattr(warm, name)
             assert getattr(cold, name) is not getattr(warm, name), name
-        # Two equal instances given the same requests hold equal paths,
-        # never the same ones.
+        # Two equal instances given the same requests hold equal paths and
+        # maxima, never the same ones.
         for solve in solvers.SOLVERS.values():
             solve(cold, params)
-        for name in PATHS:
-            assert getattr(cold, name) == getattr(warm, name)
-            assert getattr(cold, name) is not getattr(warm, name), name
+        assert cold.grown == warm.grown and cold.grown is not warm.grown
+        for key in warm.grown:
+            assert cold.grown[key] is not warm.grown[key], key

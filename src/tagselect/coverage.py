@@ -89,7 +89,7 @@ class DCGraph:
 
 def build_dc_graph(instance: Instance) -> DCGraph:
     """Augment an instance's tag vectors; the only place that does."""
-    pos, neg = instance.side_masks
+    (_, _, pos), (_, _, neg) = instance.side_columns
     pos_cover, neg_cover = reduce(or_, pos, 0), reduce(or_, neg, 0)
     only_pos = pos_cover & ~neg_cover
     only_neg = neg_cover & ~pos_cover

@@ -122,7 +122,7 @@ class Instance:
 
     # The solve inputs below depend on the instance alone, so each is built
     # on first use and kept.  So is what greedy requests grow: ``grown``
-    # holds the greedy routes' unfiltered paths (solvers._path) and the
+    # holds the greedy routes' unfiltered paths (solvers._greedy) and the
     # steps' relevance maxima (relevance.step_needs).  All live outside the
     # dataclass fields: equality, hashing and repr ignore them.  The
     # per-side columns are tuples of the tags' own floats and ints.
@@ -153,19 +153,15 @@ class Instance:
         return build_dc_graph(self)
 
     @cached_property
-    def side_relevances(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Each side's relevances, positives first, in id order."""
-        return (
-            tuple(t.relevance for t in self.positives()),
-            tuple(t.relevance for t in self.negatives()),
-        )
-
-    @cached_property
-    def side_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Each side's coverage masks, positives first, in id order."""
-        return (
-            tuple(t.mask for t in self.positives()),
-            tuple(t.mask for t in self.negatives()),
+    def side_columns(self) -> tuple[tuple[range, tuple[float, ...], tuple[int, ...]], ...]:
+        """Each side's ids, relevances and coverage masks, positives first,
+        in id order, so that the sides taken in turn visit the tags in id
+        order."""
+        n_pos = self.n_pos
+        sides = (range(n_pos), self.positives()), (range(n_pos, self.n), self.negatives())
+        return tuple(
+            (ids, tuple([t.relevance for t in tags]), tuple([t.mask for t in tags]))
+            for ids, tags in sides
         )
 
     @cached_property

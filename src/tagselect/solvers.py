@@ -9,7 +9,9 @@ Each objective gets three routes:
 
 One enumerator (:func:`_enumerate`) and one branch-and-bound (:func:`_bnb`)
 serve both objectives, told apart by their ``dc`` argument; the public
-routes are one-line calls of them.
+routes are one-line calls of them.  One greedy driver (:func:`_greedy`)
+serves both too: each greedy route adds only its step search and its
+set-up.
 
 All six are called as ``solver(instance, params, exact_cap=...)`` and
 return a :class:`SolveReport`.  ``exact_cap`` limits enumeration only: the
@@ -22,7 +24,7 @@ it visits it keeps the one of highest relevance, the first in its visiting
 order among equals, so its selection can differ from the enumerator's.
 
 The greedy routes follow the unfiltered paths that earlier requests grew on
-the instance while each step passes the request's filter (:func:`_path`).
+the instance while each step passes the request's filter (:func:`_greedy`).
 """
 
 from __future__ import annotations
@@ -135,13 +137,6 @@ def _side_rows(
         yield sum(rel), union, reduce(operator.and_, vec), ~union, chosen
 
 
-def _side_columns(instance: Instance, vectors: tuple[Sequence[int], Sequence[int]]) -> tuple:
-    """Per side, positives first: its (ids, relevances, ``vectors``) in id
-    order, so that the sides taken in turn visit the tags in id order."""
-    n_pos = instance.n_pos
-    return tuple(zip((range(n_pos), range(n_pos, instance.n)), instance.side_relevances, vectors))
-
-
 def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
     """Enumerate every subset with exactly k1 positives and k2 negatives,
     pairing each positive combination with a table of the negative side's
@@ -162,16 +157,16 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
     """
     t0 = time.perf_counter()
     need = _exact_setup(instance, params, exact_cap)
+    (_, pos_rels, pos_masks), (_, neg_rels, neg_masks) = instance.side_columns
     if dc:
         graph = instance.dc_graph
         vectors, stand_ins = graph.aug, graph.stand_ins
     else:
-        vectors, stand_ins = instance.side_masks, (0, 0)
-    rels = instance.side_relevances
+        vectors, stand_ins = (pos_masks, neg_masks), (0, 0)
     negatives = instance.negatives()
 
     def neg_stream():
-        return _side_rows(negatives, rels[1], vectors[1], params.k2, stand_ins[1])
+        return _side_rows(negatives, neg_rels, vectors[1], params.k2, stand_ins[1])
 
     held = list(neg_stream()) if comb(len(negatives), params.k2) <= _TILE_PAIRS else None
 
@@ -179,7 +174,7 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
     th_best, th_val, th_rel = None, instance.m + 1, 0.0
     cv_best, cv_val, cv_rel = None, -1, 0.0
     for pos_rel, po, pa, p_out, pos in _side_rows(
-        instance.positives(), rels[0], vectors[0], params.k1, stand_ins[0]
+        instance.positives(), pos_rels, vectors[0], params.k1, stand_ins[0]
     ):
         for neg_rel, no, na, n_out, neg in held or neg_stream():
             rel = pos_rel + neg_rel
@@ -205,6 +200,99 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
 
 
 # ---------------------------------------------------------------------------
+# Greedy driver
+# ---------------------------------------------------------------------------
+
+# The pick of a side that a greedy step leaves alone.
+_IDLE = (None, 0.0, 0)
+
+
+def _greedy(
+    instance: Instance, params: Params, route: str, scan, fold, acc: list, score: int
+) -> Selection:
+    """The greedy scheme of both routes, "a-ic" and "a-dc": steps under the
+    per-step relevance filter until the quotas fill.  The objective is the
+    score of the last step, or ``score`` when no step was taken.
+
+    ``scan(instance, left, acc, taken, rel_so_far, threshold)`` is the
+    route's step search, with ``left`` the quotas left, ``acc`` each side's
+    state and ``taken`` the ids taken; it keeps only candidates whose
+    relevance, added to ``rel_so_far``, reaches ``threshold``.  A step is
+    one pick per side, positives first, each ``(id, relevance, vector)``
+    with the tag's own vector, or :data:`_IDLE` for a side the step leaves
+    alone, and the step's score.  ``fold(state, vector)`` adds a pick to
+    its side's state.  An
+    a-dc step picks on each open side and an a-ic step on one; the filter
+    is the one at the size the step reaches (:func:`step_needs`).
+
+    With no relevance filter a route's steps depend on the instance alone
+    while both quotas are open, and after one side fills, on the steps
+    taken and which side is full alone (the scans test a quota only for
+    being non-zero).  So :attr:`Instance.grown` keeps them, each as far as
+    requests have grown it: under ``(route, 0, None)`` the steps with both
+    quotas open, and under ``(route, s, side)`` the steps taken after
+    ``side`` filled once ``s`` steps were taken; a request with a zero
+    quota starts on ``(route, 0, side)``.  A request takes its path's next
+    step while the step passes its filter: its candidates are a subset of
+    the path's that holds the step, under the same key, so it is the step
+    the scan would keep.  When a side fills it opens the path for that
+    side and step.  Past a path's end it grows the path by one step, a
+    scan at threshold -inf, and keeps it (:meth:`Instance.keep`).  From
+    the first step that fails, it scans.
+
+    A step with an empty candidate pool is a dead end: the partial
+    selection is returned flagged infeasible instead of relaxing the
+    filter.
+    """
+    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
+    needs = step_needs(instance, params)
+    pairs = route == "a-dc"
+    tags = instance.tags
+    left = [params.k1, params.k2]
+    chosen: list[Tag] = []
+    taken: set[int] = set()
+    rel_so_far = 0.0
+    # A request with a zero quota moves to its full side's path at once.
+    key = (route, 0, None)
+    path = instance.grown.get(key, ())
+    held = len(path)
+    step = 0
+    on_path = True
+    while len(chosen) < params.k:
+        if on_path and key[2] is None and 0 in left:
+            if len(path) > held:
+                instance.keep(key, path)
+            key = (route, step, left.index(0))
+            path = instance.grown.get(key, ())
+            held = len(path)
+            step = 0
+        threshold = needs[len(chosen) + (pairs and 0 not in left)]
+        if on_path:
+            if len(path) == step:
+                path += (scan(instance, left, acc, taken, 0.0, -inf),)
+            best = path[step]
+            step += 1
+            on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
+        if not on_path:
+            best = scan(instance, left, acc, taken, rel_so_far, threshold)
+            if best is None:
+                break  # Dead end: the relevance filter emptied the pool mid-run.
+        for side in (0, 1):
+            i, rel, vector = best[side]
+            if i is not None:
+                chosen.append(tags[i])
+                taken.add(i)
+                rel_so_far += rel
+                left[side] -= 1
+                acc[side] = fold(acc[side], vector)
+        score = best[2]
+    if len(path) > held:
+        instance.keep(key, path)
+    kind = "theta_dc" if pairs else "cov_ic"
+    return _selection(chosen, kind, score, len(chosen) == params.k)
+
+
+# ---------------------------------------------------------------------------
 # Independent coverage
 # ---------------------------------------------------------------------------
 
@@ -218,15 +306,19 @@ def exact_ic(
     return _enumerate(instance, params, exact_cap, False)
 
 
-def _ic_scan(sides, left, mask: int, taken: set[int], rel_so_far: float, threshold: float):
-    """a-ic's step: the quota-open candidate of largest resulting coverage,
-    then relevance, then lowest id, among those passing ``threshold``, as
-    ``(id, side, relevance)``; None when the filter passes none."""
-    best = best_side = None
+def _ic_scan(
+    instance: Instance, left, acc, taken: set[int], rel_so_far: float, threshold: float
+):
+    """a-ic's step (:func:`_greedy`): the quota-open candidate of largest
+    coverage joined with the sides' masks ``acc``, then relevance, then
+    lowest id, among those passing ``threshold``; None when the filter
+    passes none."""
+    mask = acc[0] | acc[1]
+    best = None
     best_cov = -1
     best_rel = 0.0
-    for side, (ids, rels, masks) in enumerate(sides):
-        if not left[side]:
+    for q, (ids, rels, masks) in zip(left, instance.side_columns):
+        if not q:
             continue
         for i, rel, tag_mask in zip(ids, rels, masks):
             if rel_so_far + rel < threshold:
@@ -237,33 +329,11 @@ def _ic_scan(sides, left, mask: int, taken: set[int], rel_so_far: float, thresho
             # for only then.
             cov = (mask | tag_mask).bit_count()
             if (cov > best_cov or (cov == best_cov and rel > best_rel)) and i not in taken:
-                best, best_side, best_cov, best_rel = i, side, cov, rel
-    return None if best is None else (best, best_side, best_rel)
-
-
-def _path(instance: Instance, route: str, left: list[int], step: int = 0) -> tuple:
-    """Open the path a greedy request on ``route``, "a-ic" or "a-dc", with
-    quotas ``left`` follows next, as (key, path, held) where ``held`` is
-    the length kept.
-
-    With no relevance filter a route's steps depend on the instance alone
-    while both quotas are open, and after one side fills, on the steps
-    taken and which side is full alone (the scans test a quota only for
-    being non-zero).  So :attr:`Instance.grown` keeps them, each as far as
-    requests have grown it: under ``(route, 0, None)`` the steps with both
-    quotas open, and under ``(route, s, side)`` the steps taken after
-    ``side`` filled once ``s`` steps were taken; a request with a zero
-    quota starts on ``(route, 0, side)``.  A request takes its path's next
-    step while the step passes its filter: its candidates are a subset of
-    the path's that holds the step, under the same key, so it is the step
-    the scan would keep.  When a side fills it opens the path for that
-    side and step.  Past a path's end it grows the path by one step, a scan
-    at threshold -inf, and keeps it (:meth:`Instance.keep`).  From the
-    first step that fails, it scans.
-    """
-    key = (route, step, None if left[0] and left[1] else left.index(0))
-    path = instance.grown.get(key, ())
-    return key, path, len(path)
+                best, best_cov, best_rel, best_mask = i, cov, rel, tag_mask
+    if best is None:
+        return None
+    pick = (best, best_rel, best_mask)
+    return (_IDLE, pick, best_cov) if best >= instance.n_pos else (pick, _IDLE, best_cov)
 
 
 def greedy_ic(
@@ -271,57 +341,14 @@ def greedy_ic(
 ) -> SolveReport:
     """Greedy approximation: k rounds of adding the quota-open tag with the
     largest resulting coverage among those passing the per-step relevance
-    filter.  Carries a 1/2 guarantee relative to the enumerator.  Steps
-    that pass the filter are read from the instance's paths
-    (:func:`_path`), others from :func:`_ic_scan`.
-
-    A step with an empty candidate pool is a dead end: the partial selection
-    is returned flagged infeasible instead of relaxing the filter.
-    ``exact_cap`` limits enumeration only, so it never refuses this route.
+    filter (:func:`_greedy` with :func:`_ic_scan`), each side's state the
+    union of its masks.  Carries a 1/2 guarantee relative to the
+    enumerator.  ``exact_cap`` limits enumeration only, so it never refuses
+    this route.
     """
     t0 = time.perf_counter()
-    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    needs = step_needs(instance, params)
-    sides = _side_columns(instance, instance.side_masks)
-    left = [params.k1, params.k2]
-    key, path, held = _path(instance, "a-ic", left)
-    step = 0
-    on_path = True
-
-    chosen: list[Tag] = []
-    taken: set[int] = set()
-    rel_so_far = 0.0
-    mask = 0
-    for threshold in needs:
-        if on_path and not (left[0] and left[1]) and key[2] is None:
-            if len(path) > held:
-                instance.keep(key, path)
-            key, path, held = _path(instance, "a-ic", left, step)
-            step = 0
-        if on_path:
-            if len(path) == step:
-                path += (_ic_scan(sides, left, mask, taken, 0.0, -inf),)
-            best = path[step]
-            step += 1
-            on_path = rel_so_far + best[2] >= threshold
-        if not on_path:
-            best = _ic_scan(sides, left, mask, taken, rel_so_far, threshold)
-            if best is None:
-                break  # Dead end: the relevance filter emptied the pool mid-run.
-        i, side, rel = best
-        tag = instance.tags[i]
-        chosen.append(tag)
-        taken.add(i)
-        rel_so_far += rel
-        mask |= tag.mask
-        left[side] -= 1
-    if len(path) > held:
-        instance.keep(key, path)
-    return SolveReport(
-        algorithm=Algorithm.A_IC,
-        selection=_selection(chosen, "cov_ic", mask.bit_count(), len(chosen) == params.k),
-        wall_time=time.perf_counter() - t0,
-    )
+    selection = _greedy(instance, params, "a-ic", _ic_scan, operator.or_, [0, 0], 0)
+    return SolveReport(Algorithm.A_IC, selection, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +366,38 @@ def exact_dc(
     return _enumerate(instance, params, exact_cap, True)
 
 
-def _pair_scan(sides, left, acc, taken: set[int], full: int, rel_so_far: float, threshold: float):
-    """a-dc's step: the (positive option, negative option) pair of least
-    theta, then largest relevance, then lowest ids, among those passing
-    ``threshold``, as ``((id, relevance, OR, AND) per side, theta)``; None
-    when the filter passes none.
+def _pair_scan(
+    instance: Instance, left, acc, taken: set[int], rel_so_far: float, threshold: float
+):
+    """a-dc's step (:func:`_greedy`): the (positive option, negative option)
+    pair of least theta, then largest relevance, then lowest ids, among
+    those passing ``threshold``; None when the filter passes none.
 
-    An option holds the side's OR and AND after adding the candidate, and
-    the complement of that OR, taken once per option, not once per pair.
-    A side with no quota ``left`` offers one option, its ``acc`` at
-    relevance 0 and id None."""
-    pos_opts, neg_opts = [
+    A side with quota left offers each open candidate, and a full side one
+    idle option.  An option holds its relevance, the side's AND after it
+    and the complement of the side's OR after it, from the side's (OR, AND)
+    in ``acc``, taken once per option, not once per pair, and its pick."""
+    full = (1 << instance.m) - 1
+    options = [
         [
-            (i, r, (u := o | v), a & v, full ^ u)
-            for i, r, v in zip(*cands)
+            (r, a & v, full ^ (o | v), (i, r, v))
+            for i, r, v in zip(ids, rels, vectors)
             if i not in taken
         ]
         if q
-        else [(None, 0.0, o, a, full ^ o)]
-        for q, (o, a), cands in zip(left, acc, sides)
+        else [(0.0, a, full ^ o, _IDLE)]
+        for q, (o, a), (ids, rels, _), vectors in zip(
+            left, acc, instance.side_columns, instance.dc_graph.aug
+        )
     ]
     # Options are visited in id order and replace the best only on a
     # smaller theta, or an equal theta and a larger relevance, so ties keep
     # the lowest ids.  m + 1 exceeds every theta.
-    best = None
-    best_th, best_rel = full.bit_length() + 1, 0.0
-    for p in pos_opts:
-        _, rx, _, pa, p_out = p
+    best_pos = best_neg = None
+    best_th, best_rel = instance.m + 1, 0.0
+    for rx, pa, p_out, pos in options[0]:
         base = rel_so_far + rx
-        for n in neg_opts:
-            _, ry, _, na, n_out = n
+        for ry, na, n_out, neg in options[1]:
             if base + ry < threshold:
                 continue
             # theta_mask inline: AND_P minus OR_N, plus AND_N minus OR_P.
@@ -377,94 +406,52 @@ def _pair_scan(sides, left, acc, taken: set[int], full: int, rel_so_far: float, 
                 continue
             rel = rx + ry
             if th < best_th or rel > best_rel:
-                best, best_th, best_rel = (p, n), th, rel
-    return None if best is None else (best[0][:4], best[1][:4], best_th)
+                best_pos, best_neg, best_th, best_rel = pos, neg, th, rel
+    return None if best_pos is None else (best_pos, best_neg, best_th)
+
+
+def _or_and_with(state: tuple[int, int], vector: int) -> tuple[int, int]:
+    """A side's (OR, AND) with ``vector`` added."""
+    return state[0] | vector, state[1] & vector
 
 
 def greedy_dc(
     instance: Instance, params: Params, exact_cap: int = DEFAULT_EXACT_CAP
 ) -> SolveReport:
-    """Greedy approximation on the labeled graph: one step search over
-    (positive option, negative option) pairs (:func:`_pair_scan`).
+    """Greedy approximation on the labeled graph: each step takes the
+    (positive option, negative option) pair of least theta among those
+    passing the relevance filter (:func:`_greedy` with :func:`_pair_scan`),
+    each side's state its (OR, AND) of augmented vectors.
 
-    A side with quota left offers each open candidate, with the side's OR
-    and AND of augmented vectors after adding it; a full side offers one
+    A side with quota left offers each open candidate and a full side one
     fixed option, its own OR and AND (its stand-in's vector when it has no
     member), at relevance 0.  So while both quotas are open a step adds a
     whole cross pair, and after that it fills the open side one tag at a
-    time, as a pair with the full side.  A step keeps the pair of least
-    theta among those passing the relevance filter at size |T*| plus the
-    number of open sides.
+    time, as a pair with the full side.  Theta is |AND_P \\ OR_N| +
+    |AND_N \\ OR_P| (:func:`theta_mask`), so scoring a pair costs two ANDs,
+    one OR and a popcount.  The reported theta is the one the last step
+    scored, or the two stand-ins' when no step took a pair.  ``exact_cap``
+    never refuses this route.
 
-    Theta against the enumerator's optimum, measured on the 2,000 held-out
-    cases of ``tests/test_heldout.py``: on balanced quotas (k1 = k2) no
-    ratio exceeds 2 (max 2.00), but 4 of 427 answers sit above a zero
-    optimum; on imbalanced quotas 8 of 1,518 ratios exceed 2 (max 4.00) and
-    42 answers sit above a zero optimum.  Theta's intra-edge subtraction is
-    invisible to the myopic pair step.
-
-    Theta is |AND_P \\ OR_N| + |AND_N \\ OR_P| (:func:`theta_mask`), so
-    scoring a pair costs two ANDs, one OR and a popcount.  Steps that pass
-    the filter are read from the instance's paths (:func:`_path`), others
-    from :func:`_pair_scan`.  The reported theta is the one the last step
-    scored, or the two stand-ins' when no step took a pair.  A step with an
-    empty candidate pool is a dead end, as in :func:`greedy_ic`, and
-    ``exact_cap`` never refuses this route.
+    Theta's intra-edge subtraction is invisible to the myopic pair step,
+    and the factor 2 against the enumerator fails on balanced quotas
+    (k1 = k2) as on imbalanced ones.  On ROADMAP item 15's balanced stream
+    (a scratch measurement at b8910c1) 333 of 229,900 balanced full answers
+    had theta ratios above 2 (max 5.00); the 2,000 held-out cases of
+    ``tests/test_heldout.py`` are too few to show that rate.
+    ``tests/test_counterexamples.py`` pins one small case of each quota
+    class.
     """
     t0 = time.perf_counter()
-    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
-    needs = step_needs(instance, params)
-    graph = instance.dc_graph
-
-    chosen: list[Tag] = []
-    taken: set[int] = set()
-    rel_so_far = 0.0
-    stand_ins = graph.stand_ins
-    th = (stand_ins[0] ^ stand_ins[1]).bit_count()
+    stand_ins = instance.dc_graph.stand_ins
     full = (1 << instance.m) - 1
-    # Per side, positives first: the quota left, the running (OR, AND) and
-    # the candidates' ids, relevances and vectors in id order.  (0, full),
-    # the identities of | and & over the m values, marks an open side with
-    # no member yet; a side with no quota holds its stand-in's vector, which
-    # theta_mask takes as OR = AND.
-    left = [params.k1, params.k2]
-    acc = [(0, full) if q else (stand_in, stand_in) for q, stand_in in zip(left, stand_ins)]
-    sides = _side_columns(instance, graph.aug)
-    key, path, held = _path(instance, "a-dc", left)
-    step = 0
-    on_path = True
-    while len(chosen) < params.k:
-        threshold = needs[len(chosen) + (left[0] > 0) + (left[1] > 0) - 1]
-        if on_path and not (left[0] and left[1]) and key[2] is None:
-            if len(path) > held:
-                instance.keep(key, path)
-            key, path, held = _path(instance, "a-dc", left, step)
-            step = 0
-        if on_path:
-            if len(path) == step:
-                path += (_pair_scan(sides, left, acc, taken, full, 0.0, -inf),)
-            best = path[step]
-            step += 1
-            on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
-        if not on_path:
-            best = _pair_scan(sides, left, acc, taken, full, rel_so_far, threshold)
-            if best is None:
-                break  # Dead end: the relevance filter emptied the pool mid-run.
-        pos, neg, th = best
-        for side, (i, r, o, a) in enumerate((pos, neg)):
-            if i is not None:
-                chosen.append(instance.tags[i])
-                taken.add(i)
-                rel_so_far += r
-                left[side] -= 1
-                acc[side] = (o, a)
-    if len(path) > held:
-        instance.keep(key, path)
-    return SolveReport(
-        algorithm=Algorithm.A_DC,
-        selection=_selection(chosen, "theta_dc", th, len(chosen) == params.k),
-        wall_time=time.perf_counter() - t0,
-    )
+    # (0, full), the identities of | and & over the m values, marks an open
+    # side with no member yet; a side with no quota holds its stand-in's
+    # vector, which theta_mask takes as OR = AND.
+    acc = [(0, full) if q else (s, s) for q, s in zip((params.k1, params.k2), stand_ins)]
+    theta = (stand_ins[0] ^ stand_ins[1]).bit_count()
+    selection = _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, acc, theta)
+    return SolveReport(Algorithm.A_DC, selection, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

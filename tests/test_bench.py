@@ -159,7 +159,7 @@ class TestRunSweep:
         warm = small_spec(algorithms=tuple(Algorithm), instances=bench.materialize_instances(spec))
         assert self._strip_timing(bench.run_sweep(warm, jobs=1)) == serial
         for inst in warm.instances:
-            assert {"rel_benchmark", "dc_graph", "side_masks", "search_order"} <= vars(inst).keys()
+            assert {"rel_benchmark", "dc_graph", "side_columns", "search_order"} <= vars(inst).keys()
         assert self._strip_timing(bench.run_sweep(warm, jobs=2)) == serial
 
     def test_pool_sized_by_points_and_cpus(self, monkeypatch):

@@ -126,3 +126,21 @@ def test_only_model_writes_into_instances():
         or (isinstance(node, ast.Attribute) and node.attr == "__dict__")
     ]
     assert found == []
+
+
+def test_only_the_greedy_driver_follows_paths():
+    # The path rules (follow a path while its steps pass the filter, reopen
+    # it when a side fills, grow it, keep it) are solvers._greedy's alone,
+    # so that no route forks the loop again.
+    tree = ast.parse((Path(tagselect.__file__).parent / "solvers.py").read_text())
+    (driver,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_greedy"
+    ]
+    inside = {id(node) for node in ast.walk(driver)}
+    touches = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("grown", "keep")
+    ]
+    assert {node.attr for node in touches if id(node) in inside} == {"grown", "keep"}
+    assert [ast.unparse(node) for node in touches if id(node) not in inside] == []

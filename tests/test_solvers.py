@@ -285,8 +285,8 @@ class TestGreedyDC:
             camera.tags[i] for i in ranked[3][2:]
         ]
         report = greedy_dc(camera, params)
-        pos, neg, th = camera.grown["a-dc", 0, None][0]
-        assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
+        (i, rel_i, _), (j, rel_j, _), th = camera.grown["a-dc", 0, None][0]
+        assert (th, rel_i + rel_j, i, j) == ranked[0]
         assert set(ranked[3][2:]) < report.selection.tag_ids
         assert greedy_outcome(report) == reference_greedy_dc(camera, params)
         assert report.selection.feasible
@@ -664,8 +664,8 @@ class TestDCFirstPairs:
             assert ranked == ()
             return
         greedy_dc(inst, Params(k=2, alpha=0.5, beta=0.0, k1=1, k2=1))
-        ((pos, neg, th),) = inst.grown["a-dc", 0, None]
-        assert (th, pos[1] + neg[1], pos[0], neg[0]) == ranked[0]
+        (((i, rel_i, _), (j, rel_j, _), th),) = inst.grown["a-dc", 0, None]
+        assert (th, rel_i + rel_j, i, j) == ranked[0]
 
 
 @st.composite
@@ -718,8 +718,8 @@ class TestGreedyPaths:
         # so each request scans from its first step and grows nothing more.
         assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
-        ((wide, _, _),) = both_open(inst, "a-ic")
-        (((pos, *_), _, _),) = both_open(inst, "a-dc")
+        (((wide, _, _), _, _),) = both_open(inst, "a-ic")
+        (((pos, _, _), _, _),) = both_open(inst, "a-dc")
         assert inst.tags[wide].label == inst.tags[pos].label == "wide"
 
     def test_a_shorter_path_never_replaces_a_longer_one(self):
@@ -810,7 +810,10 @@ class TestGreedyPaths:
     def test_one_key_scheme_for_all_grown_state(self):
         """Paths are kept under (route, steps taken, full side), both-open
         paths with side None and zero quotas starting on their full side's
-        path at step 0; step maxima under ("stepwise", k1, k2)."""
+        path at step 0; step maxima under ("stepwise", k1, k2).  Both
+        routes' steps have one shape: a pick per side, positives first,
+        each (id, relevance, vector) or the shared idle pick, and the
+        step's score."""
         inst = random_instance(seed=[517], num_attrs=30, n_pos=8, n_neg=8)
         quotas = ((3, 1), (1, 3), (0, 3), (3, 0), (2, 2), (0, 1), (4, 0))
         requests = [
@@ -831,6 +834,20 @@ class TestGreedyPaths:
             else:
                 assert route in ("a-ic", "a-dc") and value
                 assert (s, side) == (0, None) or (side in (0, 1) and s >= 0), (route, s, side)
+                for pos, neg, score in value:
+                    assert type(score) is int
+                    for on_side, pick in enumerate((pos, neg)):
+                        i, rel, vector = pick
+                        if i is None:
+                            assert pick is solvers._IDLE
+                            continue
+                        tag = inst.tags[i]
+                        assert tag.is_positive == (on_side == 0) and rel == tag.relevance
+                        assert vector == (
+                            tag.mask if route == "a-ic" else inst.dc_graph.aug_mask(tag)
+                        )
+                    picks = [pick for pick in (pos, neg) if pick is not solvers._IDLE]
+                    assert len(picks) == 1 if route == "a-ic" else picks
         for route in ("a-ic", "a-dc"):
             assert {(route, 0, None), (route, 0, 0), (route, 0, 1)} <= inst.grown.keys()
             assert any(route == r and s > 0 for r, s, _ in inst.grown)
@@ -1358,7 +1375,7 @@ def full_answer(solve, inst, params):
 
 
 # The solve inputs an instance builds on first use and keeps.
-CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_relevances", "side_masks", "search_order"}
+CACHED_INPUTS = {"rel_benchmark", "dc_graph", "side_columns", "search_order"}
 
 
 class TestSolveInputsBuiltOnce:

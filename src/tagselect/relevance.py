@@ -10,7 +10,9 @@ lists make every benchmark an O(x) lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Iterable
 
 from .errors import InfeasiblePolarity
@@ -43,9 +45,9 @@ def prefix_sums(relevances: Iterable[float]) -> tuple[float, ...]:
 
 
 def rel_total(selection: Iterable[Tag]) -> float:
-    """Sum of member relevances, added in iteration order; 0.0 for the
-    empty set."""
-    return sum((t.relevance for t in selection), 0.0)
+    """Sum of member relevances added in iteration order, which ``sum`` of
+    floats does not keep from Python 3.12 on; 0.0 for the empty set."""
+    return reduce(add, (t.relevance for t in selection), 0.0)
 
 
 def rel_max(benchmark: RelBenchmark, k1: int, k2: int) -> float:

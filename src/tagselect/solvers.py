@@ -100,14 +100,9 @@ def _reached(best, need: float):
     return best
 
 
-def _selection(tags: Sequence[Tag], kind: str, value: int, feasible: bool) -> Selection:
-    return Selection(
-        tag_ids=frozenset(t.id for t in tags),
-        rel_total=rel_total(tags),
-        objective_kind=kind,
-        objective_value=value,
-        feasible=feasible,
-    )
+def _selection(tags: Sequence[Tag], kind: str, value: int) -> Selection:
+    """An exact route's answer, ``tags`` in id order (so its relevance sum is)."""
+    return Selection(frozenset(t.id for t in tags), rel_total(tags), kind, value, True)
 
 
 # The most negative combinations the enumerator holds as a table; past it
@@ -189,10 +184,10 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
                 cv = (po | no).bit_count()
             if cv >= cv_val and (cv > cv_val or rel > cv_rel):
                 cv_best, cv_val, cv_rel = pos + neg, cv, rel
-    covered = _selection(_reached(cv_best, need), "cov_dc" if dc else "cov_ic", cv_val, True)
+    covered = _selection(_reached(cv_best, need), "cov_dc" if dc else "cov_ic", cv_val)
     return SolveReport(
         algorithm=Algorithm.E_DC if dc else Algorithm.E_IC,
-        selection=_selection(th_best, "theta_dc", th_val, True) if dc else covered,
+        selection=_selection(th_best, "theta_dc", th_val) if dc else covered,
         wall_time=time.perf_counter() - t0,
         nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
         covdc_selection=covered if dc else None,
@@ -211,8 +206,10 @@ def _greedy(
     instance: Instance, params: Params, route: str, scan, fold, acc: list, score: int
 ) -> Selection:
     """The greedy scheme of both routes, "a-ic" and "a-dc": steps under the
-    per-step relevance filter until the quotas fill.  The objective is the
-    score of the last step, or ``score`` when no step was taken.
+    per-step relevance filter until the quotas fill.  The selection is the
+    loop's running state: the ids taken, the relevance its filter compared
+    (the picks' relevances in pick order, as :func:`rel_total` adds them)
+    and the score of the last step, or ``score`` when no step was taken.
 
     ``scan(instance, left, acc, taken, rel_so_far, threshold)`` is the
     route's step search, with ``left`` the quotas left, ``acc`` each side's
@@ -247,9 +244,7 @@ def _greedy(
     check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     needs = step_needs(instance, params)
     pairs = route == "a-dc"
-    tags = instance.tags
     left = [params.k1, params.k2]
-    chosen: list[Tag] = []
     taken: set[int] = set()
     rel_so_far = 0.0
     # A request with a zero quota moves to its full side's path at once.
@@ -258,7 +253,7 @@ def _greedy(
     held = len(path)
     step = 0
     on_path = True
-    while len(chosen) < params.k:
+    while len(taken) < params.k:
         if on_path and key[2] is None and 0 in left:
             if len(path) > held:
                 instance.keep(key, path)
@@ -266,7 +261,7 @@ def _greedy(
             path = instance.grown.get(key, ())
             held = len(path)
             step = 0
-        threshold = needs[len(chosen) + (pairs and 0 not in left)]
+        threshold = needs[len(taken) + (pairs and 0 not in left)]
         if on_path:
             if len(path) == step:
                 path += (scan(instance, left, acc, taken, 0.0, -inf),)
@@ -280,7 +275,6 @@ def _greedy(
         for side in (0, 1):
             i, rel, vector = best[side]
             if i is not None:
-                chosen.append(tags[i])
                 taken.add(i)
                 rel_so_far += rel
                 left[side] -= 1
@@ -289,7 +283,7 @@ def _greedy(
     if len(path) > held:
         instance.keep(key, path)
     kind = "theta_dc" if pairs else "cov_ic"
-    return _selection(chosen, kind, score, len(chosen) == params.k)
+    return Selection(frozenset(taken), rel_so_far, kind, score, len(taken) == params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +565,7 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
     chosen = sorted((t for i, t in enumerate(tags) if taken >> i & 1), key=lambda t: t.id)
     return SolveReport(
         algorithm=Algorithm.BNB_DC if dc else Algorithm.BNB_IC,
-        selection=_selection(chosen, "cov_dc" if dc else "cov_ic", best_val, True),
+        selection=_selection(chosen, "cov_dc" if dc else "cov_ic", best_val),
         wall_time=time.perf_counter() - t0,
         nodes_explored=nodes,
     )

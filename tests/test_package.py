@@ -128,15 +128,21 @@ def test_only_model_writes_into_instances():
     assert found == []
 
 
-def test_only_the_greedy_driver_follows_paths():
-    # The path rules (follow a path while its steps pass the filter, reopen
-    # it when a side fills, grow it, keep it) are solvers._greedy's alone,
-    # so that no route forks the loop again.
+def solvers_and_greedy_driver():
+    """The parsed solvers module and its ``_greedy`` function node."""
     tree = ast.parse((Path(tagselect.__file__).parent / "solvers.py").read_text())
     (driver,) = [
         node for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "_greedy"
     ]
+    return tree, driver
+
+
+def test_only_the_greedy_driver_follows_paths():
+    # The path rules (follow a path while its steps pass the filter, reopen
+    # it when a side fills, grow it, keep it) are solvers._greedy's alone,
+    # so that no route forks the loop again.
+    tree, driver = solvers_and_greedy_driver()
     inside = {id(node) for node in ast.walk(driver)}
     touches = [
         node for node in ast.walk(tree)
@@ -144,3 +150,16 @@ def test_only_the_greedy_driver_follows_paths():
     ]
     assert {node.attr for node in touches if id(node) in inside} == {"grown", "keep"}
     assert [ast.unparse(node) for node in touches if id(node) not in inside] == []
+
+
+def test_the_greedy_driver_answers_from_its_running_state():
+    # solvers._greedy builds its Selection from the ids it took and the
+    # relevance its filter compared, so it keeps no list of the picked tags
+    # and makes no second pass over them.
+    _, driver = solvers_and_greedy_driver()
+    found = [
+        ast.unparse(node) for node in ast.walk(driver)
+        if (isinstance(node, ast.Attribute) and node.attr == "tags")
+        or (isinstance(node, ast.Name) and node.id in ("_selection", "rel_total"))
+    ]
+    assert found == []

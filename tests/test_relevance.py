@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,13 @@ class TestRelTotal:
     def test_worked_pair(self, camera):
         sel = pick(camera, "stylish", "poor battery life")
         assert rel_total(sel) == pytest.approx(0.33)
+
+    def test_adds_in_iteration_order(self):
+        # Ten plain additions of 0.1 round to just below 1.0; the
+        # compensated float sum of Python 3.12+ would give exactly 1.0.
+        # The greedy routes' relevance is this in-order sum of their picks.
+        tenths = [SimpleNamespace(relevance=0.1)] * 10
+        assert repr(rel_total(tenths)) == "0.9999999999999999"
 
     def test_additivity(self, camera):
         base = pick(camera, "stylish")

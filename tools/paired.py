@@ -1,0 +1,226 @@
+"""Replay item-requests through two tagselect source trees in one process.
+
+Each tree is loaded under its own module name, so the two share no state,
+and each builds its own item pool.  Every request runs through both
+packages in turn, alternating which side runs it first, so that drift in
+the machine's speed reaches both sides alike.  The collector runs between
+chunks of requests and is paused inside them, so that a collection pause
+is charged to neither side.
+
+For each seed it prints the requests whose answers differ (sorted ids,
+objective, feasibility and the repr of the relevance total, or the error's
+type and message), each latency class's p50 and p90 time ratio, change
+over parent, and after a warm replay the number of pool items whose
+``Instance.grown`` differs from the parent's.  It exits 1 on any answer
+mismatch.  Run from the repository root, with ``../parent/src`` a second
+checkout's source tree:
+
+    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 60000
+    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 20000 --cold
+
+A warm replay times the requests after the first third, when most
+requests ask for an item that earlier requests warmed.  A cold
+replay gives each request a fresh copy of its item
+(``dataclasses.replace``) and times every request.  ``--parent src``
+against the default ``--change`` is a control: it pairs a tree with
+itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+# The request stream of perfbench/workloads.py's ItemRequests, mirrored.
+NUM_ITEMS = 20000
+GROUP_PROBS = (0.9, 0.5, 0.3, 0.1)
+CATALOGUE_SEED = 1602
+POOL = 1000
+ZIPF_S = 0.6
+ALPHAS = (0.2, 0.4, 0.5, 0.6, 0.8)
+BETAS = (0.3, 0.6)
+STREAM_CHUNK = 4096
+
+# Requests between two collections.
+CHUNK = 2000
+SHOWN_MISMATCHES = 5
+
+
+def load(name: str, src: Path):
+    """The package in ``src / "tagselect"``, imported as ``name``."""
+    init = src / "tagselect" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_pool(ts) -> list:
+    """ItemRequests' pool of item instances, built by the package ``ts``."""
+    datagen = ts.datagen
+    config = datagen.SynthConfig(
+        num_items=NUM_ITEMS, group_probs=GROUP_PROBS, seed=CATALOGUE_SEED
+    )
+    matrix = datagen.gen_matrix(config)
+    rules = datagen.extract_rules(matrix)
+    pool = []
+    for row in np.random.default_rng([CATALOGUE_SEED, 1]).permutation(NUM_ITEMS):
+        if len(pool) == POOL:
+            break
+        try:
+            pool.append(datagen.sample_instance(matrix, rules, int(row)))
+        except ts.EmptyInstance:
+            continue
+    return pool
+
+
+def requests(seed: int, n: int) -> list[tuple]:
+    """The first ``n`` requests of ItemRequests' stream for ``seed``, each
+    ``(class, item, k, alpha, beta)``."""
+    rng = np.random.default_rng([seed, 2])
+    weights = 1.0 / np.arange(1, POOL + 1) ** ZIPF_S
+    weights /= weights.sum()
+    ops: list[tuple] = []
+    while len(ops) < n:
+        items = rng.choice(POOL, size=STREAM_CHUNK, p=weights)
+        ks = rng.integers(2, 9, size=STREAM_CHUNK)
+        alphas = rng.integers(0, len(ALPHAS), size=STREAM_CHUNK)
+        betas = rng.integers(0, len(BETAS), size=STREAM_CHUNK)
+        for j in range(STREAM_CHUNK):
+            cls = "ic" if len(ops) % 2 == 0 else "dc"
+            ops.append((cls, int(items[j]), int(ks[j]), ALPHAS[alphas[j]], BETAS[betas[j]]))
+    return ops[:n]
+
+
+def answer(result) -> tuple:
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    sel = result.selection
+    return sel.sorted_ids(), sel.objective_value, sel.feasible, repr(sel.rel_total)
+
+
+def run_chunk(sides, pools, chunk: list[tuple], cold: bool) -> list[tuple[list, list]]:
+    """Each side's answers and seconds for the requests of ``chunk``, timed
+    as ItemRequests times one: ``make_params`` and the greedy route.  The
+    two sides take each request in turn."""
+    calls = [(ts.make_params, {"ic": ts.greedy_ic, "dc": ts.greedy_dc}) for ts in sides]
+    results: list[list] = [[], []]
+    seconds: list[list] = [[], []]
+    gc.collect()
+    gc.disable()
+    try:
+        for j, (cls, item, k, alpha, beta) in enumerate(chunk):
+            # Requests alternate ic and dc, so the first side switches every
+            # two requests: each class gets each side first equally often.
+            first = j // 2 % 2
+            for s in (first, 1 - first):
+                make_params, routes = calls[s]
+                instance = pools[s][item]
+                if cold:
+                    instance = dataclasses.replace(instance)
+                t0 = perf_counter()
+                try:
+                    result = routes[cls](instance, make_params(k, alpha, beta, instance))
+                except Exception as exc:  # an error is an answer: type and message
+                    result = exc
+                seconds[s].append(perf_counter() - t0)
+                results[s].append(result)
+    finally:
+        gc.enable()
+    return [([answer(r) for r in results[s]], seconds[s]) for s in (0, 1)]
+
+
+def quantile(values: list[float], p: float) -> float:
+    ordered = sorted(values)
+    return ordered[int(p * (len(ordered) - 1))]
+
+
+def replay(sides, seed: int, n: int, warmup: int, cold: bool) -> tuple[int, dict]:
+    """Replay seed's first ``n`` requests through both sides; return the
+    answer mismatches and each (class, quantile)'s time ratio."""
+    pools = [build_pool(ts) for ts in sides]
+    ops = requests(seed, n)
+    mismatches = 0
+    times = [{"ic": [], "dc": []} for _ in sides]
+    for start in range(0, n, CHUNK):
+        chunk = ops[start : start + CHUNK]
+        out = run_chunk(sides, pools, chunk, cold)
+        (a, _), (b, _) = out
+        for j, op in enumerate(chunk):
+            if a[j] != b[j]:
+                mismatches += 1
+                if mismatches <= SHOWN_MISMATCHES:
+                    print(f"  request {start + j + 1} {op}: parent {a[j]}, change {b[j]}")
+            if start + j >= warmup:
+                for s in (0, 1):
+                    times[s][op[0]].append(out[s][1][j])
+    ratios = {
+        (cls, p): quantile(times[1][cls], p) / quantile(times[0][cls], p)
+        for cls in ("ic", "dc")
+        for p in (0.5, 0.9)
+    }
+    mode = "cold" if cold else "warm"
+    print(f"seed {seed} {mode}: {n} requests, {mismatches} answer mismatches")
+    if not cold:
+        differ = sum(old.grown != new.grown for old, new in zip(*pools))
+        print(f"  grown differs from the parent's on {differ} of {len(pools[0])} items")
+    print(
+        f"  change/parent over requests {warmup + 1}-{n}: "
+        + ", ".join(f"{cls} p{round(p * 100)} {r:.3f}" for (cls, p), r in ratios.items())
+    )
+    return mismatches, ratios
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--parent", type=Path, required=True, help="source tree holding tagselect/"
+    )
+    parser.add_argument(
+        "--change", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        help="source tree holding tagselect/ (default: this repository's src)",
+    )
+    parser.add_argument(
+        "--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[1, 2, 3],
+        help="comma-separated stream seeds (default 1,2,3)",
+    )
+    parser.add_argument("--ops", type=int, default=60000, help="requests per seed")
+    parser.add_argument("--cold", action="store_true", help="a fresh item copy per request")
+    args = parser.parse_args(argv)
+    if args.ops < 2:
+        parser.error("--ops must be at least 2, one request of each class")
+    for src in (args.parent, args.change):
+        if not (src / "tagselect" / "__init__.py").is_file():
+            parser.error(f"no tagselect package under {src}")
+    warmup = 0 if args.cold else args.ops // 3
+    sides = (load("tagselect_parent", args.parent), load("tagselect_change", args.change))
+    total = 0
+    per_seed = []
+    for seed in args.seeds:
+        mismatches, ratios = replay(sides, seed, args.ops, warmup, args.cold)
+        total += mismatches
+        per_seed.append(ratios)
+    print(
+        "median over seeds: "
+        + ", ".join(
+            f"{cls} p{round(p * 100)} {statistics.median(r[(cls, p)] for r in per_seed):.3f}"
+            for cls, p in per_seed[0]
+        )
+    )
+    print(f"answer mismatches in total: {total}")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -172,6 +172,25 @@ class Instance:
         return build_search_order(self)
 
 
+def one_write_init(cls: type) -> type:
+    """Give the frozen dataclass ``cls`` an ``__init__`` that writes all its
+    fields into the instance's ``__dict__`` in one step, where the
+    dataclass's own sets each through ``object.__setattr__``.  It takes the
+    same arguments with the same defaults and runs nothing else, so ``cls``
+    must have no ``__post_init__`` and no field with a ``default_factory``."""
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    names = [f.name for f in fields(cls)]
+    args = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    body = ", ".join(f"{n!r}: {n}" for n in names)
+    namespace: dict = {"_defaults": defaults}
+    exec(f"def __init__(self, {args}):\n    self.__dict__.update({{{body}}})", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@one_write_init
 @dataclass(frozen=True)
 class Params:
     """A solve request: budget k split into sentiment quotas (k1, k2).
@@ -187,6 +206,7 @@ class Params:
     k2: int
 
 
+@one_write_init
 @dataclass(frozen=True)
 class Selection:
     """A result set with its objective value and feasibility flag."""
@@ -282,28 +302,31 @@ def make_params(k: int, alpha: float, beta: float, instance: Instance) -> Params
         raise ValueError(f"budget k must be an integer, got {k}") from None
     if k < 1:
         raise ValueError(f"budget k must be >= 1, got {k}")
-    if not 0.0 <= float(alpha) <= 1.0:
+    share = float(alpha)
+    if not 0.0 <= share <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
+    # The split takes alpha as given, so that an exact alpha splits exactly.
     k1, k2 = split_budget(k, alpha)
     check_quotas(k1, k2, instance.n_pos, instance.n_neg)
-    return Params(k=k, alpha=float(alpha), beta=beta, k1=k1, k2=k2)
+    return Params(k, share, beta, k1, k2)
 
 
 def check_quotas(k1: int, k2: int, n_pos: int, n_neg: int) -> None:
     """Raise :class:`InfeasiblePolarity` unless n_pos positive and n_neg
     negative tags can fill the quotas (k1, k2)."""
+    if k1 <= n_pos and k2 <= n_neg:
+        return
     pos_deficit = max(0, k1 - n_pos)
     neg_deficit = max(0, k2 - n_neg)
-    if pos_deficit or neg_deficit:
-        raise InfeasiblePolarity(
-            f"quota (k1={k1}, k2={k2}) exceeds available tags "
-            f"(n_pos={n_pos}, n_neg={n_neg}); "
-            f"short {pos_deficit} positive and {neg_deficit} negative",
-            pos_deficit=pos_deficit,
-            neg_deficit=neg_deficit,
-        )
+    raise InfeasiblePolarity(
+        f"quota (k1={k1}, k2={k2}) exceeds available tags "
+        f"(n_pos={n_pos}, n_neg={n_neg}); "
+        f"short {pos_deficit} positive and {neg_deficit} negative",
+        pos_deficit=pos_deficit,
+        neg_deficit=neg_deficit,
+    )
 
 
 def union_mask(tags: Iterable[Tag]) -> int:

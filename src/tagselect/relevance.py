@@ -86,14 +86,20 @@ def rel_need(instance: Instance, params: Params) -> float:
 
 def step_needs(instance: Instance, params: Params) -> list[float]:
     """The relevance greedy step x's selection must reach, for x = 1 … k1 +
-    k2: beta times :func:`stepwise_rel_max`, less ``EPS``.  The maxima
-    depend on the quotas alone, so the instance keeps them under
-    ``("stepwise", k1, k2)`` (:meth:`Instance.keep`)."""
+    k2: beta times :func:`stepwise_rel_max`, less ``EPS``, refusing quotas
+    the instance cannot fill (:func:`check_quotas`).  The maxima depend on
+    the quotas alone, so the instance keeps them under ``("stepwise", k1,
+    k2)`` (:meth:`Instance.keep`), and a kept key is one that fits."""
     k1, k2 = params.k1, params.k2
     key = ("stepwise", k1, k2)
     maxima = instance.grown.get(key)
     if maxima is None:
+        check_quotas(k1, k2, instance.n_pos, instance.n_neg)
         bench = instance.rel_benchmark
         maxima = tuple(stepwise_rel_max(bench, k1, k2, x) for x in range(1, k1 + k2 + 1))
         instance.keep(key, maxima)
-    return [params.beta * best - EPS for best in maxima]
+    beta = params.beta
+    needs = []
+    for best in maxima:  # a loop: a 3.11 comprehension is a call of its own
+        needs.append(beta * best - EPS)
+    return needs

@@ -39,7 +39,7 @@ from math import comb, inf
 from typing import Sequence
 
 from .errors import Infeasible, InstanceTooLarge
-from .model import EPS, Instance, Params, Selection, Tag, check_quotas
+from .model import EPS, Instance, Params, Selection, Tag, one_write_init
 from .relevance import prefix_sums, rel_need, rel_total, step_needs
 
 DEFAULT_EXACT_CAP = 30
@@ -54,6 +54,7 @@ class Algorithm(Enum):
     A_DC = "a-dc"
 
 
+@one_write_init
 @dataclass(frozen=True)
 class SolveReport:
     """What a solver returned.  Objective values and the relevance total are
@@ -117,9 +118,10 @@ def _side_rows(
     """Yield the k-combinations of one side's ``tags`` in ``combinations``
     order as rows (relevance sum, OR, AND, complement of OR, tags), where
     ``rels`` and ``vectors`` are the tags' relevances and vectors.  The
-    relevance sum is the scalar ``sum`` in tag order, so that ties on
-    relevance stay bit-exact.  The empty combination stands for the side's
-    stand-in, whose OR and AND are ``stand_in``."""
+    relevance sum adds in tag order on every Python (``sum`` of floats
+    compensates from 3.12 on), so that ties on relevance stay bit-exact.
+    The empty combination stands for the side's stand-in, whose OR and AND
+    are ``stand_in``."""
     if not k:
         yield 0, stand_in, stand_in, ~stand_in, ()
         return
@@ -129,7 +131,7 @@ def _side_rows(
         combinations(tags, k), combinations(rels, k), combinations(vectors, k)
     ):
         union = reduce(operator.or_, vec)
-        yield sum(rel), union, reduce(operator.and_, vec), ~union, chosen
+        yield reduce(operator.add, rel), union, reduce(operator.and_, vec), ~union, chosen
 
 
 def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveReport:
@@ -207,13 +209,14 @@ def _greedy(
 ) -> Selection:
     """The greedy scheme of both routes, "a-ic" and "a-dc": steps under the
     per-step relevance filter until the quotas fill.  The selection is the
-    loop's running state: the ids taken, the relevance its filter compared
-    (the picks' relevances in pick order, as :func:`rel_total` adds them)
-    and the score of the last step, or ``score`` when no step was taken.
+    loop's running state: the list of ids taken, the relevance its filter
+    compared (the picks' relevances in pick order, as :func:`rel_total`
+    adds them) and the score of the last step, or ``score`` when no step
+    was taken.
 
     ``scan(instance, left, acc, taken, rel_so_far, threshold)`` is the
     route's step search, with ``left`` the quotas left, ``acc`` each side's
-    state and ``taken`` the ids taken; it keeps only candidates whose
+    state and ``taken`` the set of ids taken; it keeps only candidates whose
     relevance, added to ``rel_so_far``, reaches ``threshold``.  A step is
     one pick per side, positives first, each ``(id, relevance, vector)``
     with the tag's own vector, or :data:`_IDLE` for a side the step leaves
@@ -237,53 +240,76 @@ def _greedy(
     scan at threshold -inf, and keeps it (:meth:`Instance.keep`).  From
     the first step that fails, it scans.
 
+    Only a scan reads ``left``, ``acc`` and ``taken``, so the loop keeps
+    just what its answer needs: the ids taken, each side's count, the
+    relevance and the score.  The steps taken since the last scan wait in
+    a list and are folded into ``acc`` just before the next scan, whether
+    it grows a path or runs under the filter; ``left`` and ``taken`` are
+    built then from the counts and the ids.
+
     A step with an empty candidate pool is a dead end: the partial
     selection is returned flagged infeasible instead of relaxing the
     filter.
     """
-    check_quotas(params.k1, params.k2, instance.n_pos, instance.n_neg)
     needs = step_needs(instance, params)
     pairs = route == "a-dc"
-    left = [params.k1, params.k2]
-    taken: set[int] = set()
+    k, k1, k2 = params.k, params.k1, params.k2
+    ids: list[int] = []
+    n1 = n2 = 0  # positives and negatives taken
     rel_so_far = 0.0
+    pending: list[tuple] = []  # steps taken but not yet folded into acc
     # A request with a zero quota moves to its full side's path at once.
     key = (route, 0, None)
     path = instance.grown.get(key, ())
     held = len(path)
     step = 0
     on_path = True
-    while len(taken) < params.k:
-        if on_path and key[2] is None and 0 in left:
+    while n1 + n2 < k:
+        if on_path and key[2] is None and (n1 == k1 or n2 == k2):
             if len(path) > held:
                 instance.keep(key, path)
-            key = (route, step, left.index(0))
+            key = (route, step, 0 if n1 == k1 else 1)
             path = instance.grown.get(key, ())
             held = len(path)
             step = 0
-        threshold = needs[len(taken) + (pairs and 0 not in left)]
+        threshold = needs[n1 + n2 + (pairs and n1 < k1 and n2 < k2)]
         if on_path:
             if len(path) == step:
-                path += (scan(instance, left, acc, taken, 0.0, -inf),)
+                _fold_pending(pending, fold, acc)
+                path += (scan(instance, [k1 - n1, k2 - n2], acc, set(ids), 0.0, -inf),)
             best = path[step]
             step += 1
             on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
         if not on_path:
-            best = scan(instance, left, acc, taken, rel_so_far, threshold)
+            _fold_pending(pending, fold, acc)
+            best = scan(instance, [k1 - n1, k2 - n2], acc, set(ids), rel_so_far, threshold)
             if best is None:
                 break  # Dead end: the relevance filter emptied the pool mid-run.
-        for side in (0, 1):
-            i, rel, vector = best[side]
-            if i is not None:
-                taken.add(i)
-                rel_so_far += rel
-                left[side] -= 1
-                acc[side] = fold(acc[side], vector)
-        score = best[2]
+        pending.append(best)
+        (pos, pos_rel, _), (neg, neg_rel, _), score = best
+        if pos is not None:
+            ids.append(pos)
+            n1 += 1
+        if neg is not None:
+            ids.append(neg)
+            n2 += 1
+        # One pick at a time, as the filter added them.
+        rel_so_far = rel_so_far + pos_rel + neg_rel
     if len(path) > held:
         instance.keep(key, path)
     kind = "theta_dc" if pairs else "cov_ic"
-    return Selection(frozenset(taken), rel_so_far, kind, score, len(taken) == params.k)
+    return Selection(frozenset(ids), rel_so_far, kind, score, len(ids) == k)
+
+
+def _fold_pending(pending: list, fold, acc: list) -> None:
+    """Fold the picks of the steps in ``pending`` into each side's state
+    ``acc`` (:func:`_greedy`), and empty it."""
+    for (pos, _, pos_vector), (neg, _, neg_vector), _ in pending:
+        if pos is not None:
+            acc[0] = fold(acc[0], pos_vector)
+        if neg is not None:
+            acc[1] = fold(acc[1], neg_vector)
+    pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +463,16 @@ def greedy_dc(
     class.
     """
     t0 = time.perf_counter()
-    stand_ins = instance.dc_graph.stand_ins
+    pos_in, neg_in = instance.dc_graph.stand_ins
     full = (1 << instance.m) - 1
     # (0, full), the identities of | and & over the m values, marks an open
     # side with no member yet; a side with no quota holds its stand-in's
     # vector, which theta_mask takes as OR = AND.
-    acc = [(0, full) if q else (s, s) for q, s in zip((params.k1, params.k2), stand_ins)]
-    theta = (stand_ins[0] ^ stand_ins[1]).bit_count()
+    acc = [
+        (0, full) if params.k1 else (pos_in, pos_in),
+        (0, full) if params.k2 else (neg_in, neg_in),
+    ]
+    theta = (pos_in ^ neg_in).bit_count()
     selection = _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, acc, theta)
     return SolveReport(Algorithm.A_DC, selection, time.perf_counter() - t0)
 

@@ -1,15 +1,21 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tagselect import (
+    Algorithm,
     AttributeOutOfRange,
     EmptyInstance,
     InfeasiblePolarity,
+    Params,
     Rule,
+    Selection,
     Sentiment,
+    SolveReport,
     build_instance,
     make_params,
     split_budget,
@@ -154,3 +160,98 @@ class TestParams:
             make_params(2, 1.5, 0.5, camera)
         with pytest.raises(ValueError):
             make_params(2, 0.5, -0.1, camera)
+
+
+# One instance of each result record, its field names in declaration order,
+# and a value for each field that differs from the first instance's.
+_SELECTION = Selection(frozenset({0, 3}), 0.5, "cov_ic", 4, True)
+RECORDS = {
+    Params: (
+        (4, 0.5, 0.3, 2, 2),
+        ("k", "alpha", "beta", "k1", "k2"),
+        (5, 0.6, 0.4, 3, 1),
+    ),
+    Selection: (
+        (frozenset({0, 3}), 0.5, "cov_ic", 4, True),
+        ("tag_ids", "rel_total", "objective_kind", "objective_value", "feasible"),
+        (frozenset({1}), 0.25, "theta_dc", 2, False),
+    ),
+    SolveReport: (
+        (Algorithm.A_IC, _SELECTION, 0.001, 7, _SELECTION),
+        ("algorithm", "selection", "wall_time", "nodes_explored", "covdc_selection"),
+        (Algorithm.E_DC, Selection(frozenset(), 0.0, "theta_dc", 1, False), 0.002, 8, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+class TestRecordContract:
+    """Params, Selection and SolveReport are frozen dataclasses, whatever
+    their __init__ does."""
+
+    def test_positional_and_keyword_construction(self, cls):
+        values, names, _ = RECORDS[cls]
+        record = cls(*values)
+        assert record == cls(**dict(zip(names, values)))
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_eq_hash_and_repr(self, cls):
+        values, names, others = RECORDS[cls]
+        record = cls(*values)
+        twin = cls(*values)
+        assert record == twin and record is not twin
+        assert hash(record) == hash(twin) == hash(values)
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, values)
+        ) + ")"
+        for j, other in enumerate(others):
+            changed = cls(*values[:j], other, *values[j + 1 :])
+            assert changed != record, names[j]
+        assert record != values
+
+    def test_frozen(self, cls):
+        values, names, others = RECORDS[cls]
+        record = cls(*values)
+        for name, other in zip(names, others):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, other)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_fields_in_order(self, cls):
+        _, names, _ = RECORDS[cls]
+        assert dataclasses.is_dataclass(cls)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert cls.__dataclass_params__.frozen
+
+    def test_replace(self, cls):
+        values, names, others = RECORDS[cls]
+        record = cls(*values)
+        for j, name in enumerate(names):
+            changed = dataclasses.replace(record, **{name: others[j]})
+            assert changed == cls(*values[:j], others[j], *values[j + 1 :])
+        assert dataclasses.replace(record) == record
+
+    def test_pickle_round_trip(self, cls):
+        values, _, _ = RECORDS[cls]
+        record = cls(*values)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert copy == record and hash(copy) == hash(record)
+            assert repr(copy) == repr(record)
+
+
+def test_solve_report_defaults():
+    report = SolveReport(Algorithm.A_DC, _SELECTION, 0.5)
+    assert report.nodes_explored is None and report.covdc_selection is None
+    assert report == SolveReport(Algorithm.A_DC, _SELECTION, 0.5, None, None)
+    assert report.objective_value == 4 and report.rel_total == 0.5 and report.covdc_value is None
+    with pytest.raises(TypeError):
+        SolveReport(Algorithm.A_DC, _SELECTION)
+    with pytest.raises(TypeError):
+        Params(4, 0.5, 0.3, 2)
+    with pytest.raises(TypeError):
+        Selection(frozenset(), 0.0, "cov_ic", 0, True, extra=1)

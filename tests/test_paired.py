@@ -2,35 +2,65 @@
 
 import importlib.util
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tagselect
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "paired.py"
+SRC = str(Path(tagselect.__file__).parents[1])
 
 
-def test_a_tree_paired_with_itself_answers_alike():
-    src = str(Path(tagselect.__file__).parents[1])
+def run_tool(*args):
     out = subprocess.run(
-        [sys.executable, str(TOOL), "--parent", src, "--change", src,
-         "--seeds", "1", "--ops", "300"],
+        [sys.executable, str(TOOL), "--parent", SRC, "--change", SRC, "--seeds", "1", *args],
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "seed 1 warm: 300 requests, 0 answer mismatches" in out.stdout
-    assert "grown differs from the parent's on 0 of 1000 items" in out.stdout
+    return out.stdout
 
 
-def test_the_stream_is_item_requests_own(monkeypatch):
+@pytest.fixture
+def paired(monkeypatch):
+    """The tool as a module, with perfbench's workloads importable."""
+    spec = importlib.util.spec_from_file_location("paired", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return module
+
+
+def intervals(stdout):
+    """Each printed ratio with its bootstrap interval, as (ratio, low, high)."""
+    found = re.findall(r"(?:ic|dc) p\d+ ([\d.]+) \[([\d.]+), ([\d.]+)\]", stdout)
+    return [tuple(map(float, values)) for values in found]
+
+
+def test_a_tree_paired_with_itself_answers_alike():
+    out = run_tool("--ops", "300")
+    assert "seed 1 warm: 300 requests, 0 answer mismatches" in out
+    assert "grown differs from the parent's on 0 of 1000 items" in out
+    found = intervals(out)
+    assert len(found) == 4
+    assert all(low <= ratio <= high for ratio, low, high in found), found
+
+
+def test_a_tree_paired_with_itself_sweeps_alike():
+    out = run_tool("--sweep", "--ops", "4")
+    assert "seed 1 sweep: 4 operations, 0 with rows that differ" in out
+    found = intervals(out)
+    assert len(found) == 2
+    assert all(low <= ratio <= high for ratio, low, high in found), found
+
+
+def test_the_stream_is_item_requests_own(paired):
     # The tool mirrors the benchmark's constants rather than importing its
     # harness; this pins the mirror to the benchmark's stream.
-    spec = importlib.util.spec_from_file_location("paired", TOOL)
-    paired = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(paired)
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import ItemRequests
 
     for seed in (1, 2):
@@ -40,3 +70,24 @@ def test_the_stream_is_item_requests_own(monkeypatch):
             (op.cls, *op.key) for op in itertools.islice(workload.ops(), 5000)
         ]
         assert paired.requests(seed, 5000) == expected
+
+
+def test_the_sweep_is_oracle_sweeps_own(paired):
+    from workloads import DC_FAMILY, IC_FAMILY, OracleSweep
+
+    assert (
+        paired.SWEEP_SET_SEED, paired.SWEEP_SIZE, paired.SWEEP_K,
+        paired.SWEEP_ALPHAS, paired.SWEEP_BETAS,
+    ) == (
+        OracleSweep.SET_SEED, OracleSweep.SIZE, OracleSweep.K_VALUES,
+        OracleSweep.ALPHAS, OracleSweep.BETAS,
+    )
+    assert paired.SWEEP_FAMILIES == {
+        "ic": tuple(a.name for a in IC_FAMILY), "dc": tuple(a.name for a in DC_FAMILY)
+    }
+    for seed in (1, 2, 21):
+        workload = OracleSweep(ROOT, seed, 1)
+        workload.setup()
+        assert paired.sweep_instances(tagselect) == workload.pool
+        expected = [(op.cls, *op.key) for op in itertools.islice(workload.ops(), 100)]
+        assert paired.sweep_ops(seed, 100) == expected

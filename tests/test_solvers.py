@@ -722,6 +722,69 @@ class TestGreedyPaths:
         (((pos, _, _), _, _),) = both_open(inst, "a-dc")
         assert inst.tags[wide].label == inst.tags[pos].label == "wide"
 
+    # The transitions where a request's steps read from a path must be folded
+    # into the sides' state: (route, rules as (coverage, relevance) per
+    # side, m, the warming quotas at beta 0, the request, and the request's
+    # first scan as (growth or filter, quotas left, ids taken)).
+    FOLD_CASES = {
+        # One path step passes the filter, the next misses it.
+        "ic-path-then-miss": (
+            "a-ic", [({0, 1, 2, 3}, 0.5), ({4, 5, 6}, 0.05), ({7}, 0.9)],
+            [({8}, 0.4), ({9}, 0.3)], 10, (2, 2), (2, 2, 0.5), ("filter", [1, 2], [0]),
+        ),
+        "dc-path-then-miss": (
+            "a-dc", [({3}, 0.2), ({1, 2}, 0.5), ({1, 4}, 0.8)],
+            [({0, 1, 4}, 0.7), ({0, 1, 5}, 0.9), ({4}, 0.6)], 6, (2, 2), (2, 2, 0.8),
+            ("filter", [1, 1], [1, 4]),
+        ),
+        # The positives fill, a step of their fill path passes, the next misses.
+        "ic-fill-then-miss": (
+            "a-ic", [({0, 1, 2, 3, 4}, 0.6), ({5}, 0.7)],
+            [({5, 6, 7}, 0.5), ({8, 9}, 0.05), ({10}, 0.45)], 11, (1, 3), (1, 3, 0.8),
+            ("filter", [0, 2], [0, 2]),
+        ),
+        "dc-fill-then-miss": (
+            "a-dc", [({1}, 0.5), ({5}, 0.7)],
+            [({2, 3}, 0.8), ({1, 2, 5}, 0.3), ({2}, 0.6), ({0, 3}, 0.4)], 6, (1, 3),
+            (1, 3, 0.9), ("filter", [0, 1], [1, 2, 5]),
+        ),
+        # A longer request follows the warm path to its end, then grows it.
+        "ic-path-then-grow": (
+            "a-ic", [({0, 1, 2, 3}, 0.5), ({4, 5, 6}, 0.05), ({7}, 0.9)],
+            [({8}, 0.4), ({9}, 0.3)], 10, (1, 1), (2, 2, 0.0), ("grow", [1, 2], [0]),
+        ),
+        "dc-path-then-grow": (
+            "a-dc", [({0, 1, 2, 3}, 0.5), ({4, 5, 6}, 0.05), ({7}, 0.9)],
+            [({8}, 0.4), ({9}, 0.3)], 10, (1, 1), (2, 2, 0.0), ("grow", [1, 1], [0, 3]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", FOLD_CASES)
+    def test_steps_read_from_a_path_are_folded_before_a_scan(self, name, monkeypatch):
+        route, pos, neg, m, warm, (k1, k2, beta), first_scan = self.FOLD_CASES[name]
+        rules = [Rule(frozenset(c), f"p{i}", P, r) for i, (c, r) in enumerate(pos)]
+        rules += [Rule(frozenset(c), f"n{i}", N, r) for i, (c, r) in enumerate(neg)]
+        inst = build_instance(rules, m=m)
+        solve, reference, scan_name = {
+            "a-ic": (greedy_ic, reference_greedy_ic, "_ic_scan"),
+            "a-dc": (greedy_dc, reference_greedy_dc, "_pair_scan"),
+        }[route]
+        solve(inst, Params(sum(warm), warm[0] / sum(warm), 0.0, *warm))
+        scans = []
+        scan = getattr(solvers, scan_name)
+
+        def recording(instance, left, acc, taken, rel_so_far, threshold):
+            kind = "grow" if threshold == -float("inf") else "filter"
+            scans.append((kind, list(left), sorted(taken)))
+            return scan(instance, left, acc, taken, rel_so_far, threshold)
+
+        monkeypatch.setattr(solvers, scan_name, recording)
+        params = Params(k1 + k2, k1 / (k1 + k2), beta, k1, k2)
+        answer = greedy_outcome(solve(inst, params))
+        assert scans[0] == first_scan
+        assert answer == reference(inst, params)
+        assert answer == greedy_outcome(solve(rebuilt(inst), params))
+
     def test_a_shorter_path_never_replaces_a_longer_one(self):
         inst = random_instance(seed=515, num_attrs=14, n_pos=4, n_neg=4)
         greedy_ic(inst, make_params(8, 0.5, 0.0, inst))
@@ -852,6 +915,13 @@ class TestGreedyPaths:
             assert {(route, 0, None), (route, 0, 0), (route, 0, 1)} <= inst.grown.keys()
             assert any(route == r and s > 0 for r, s, _ in inst.grown)
         assert [f.name for f in dataclasses.fields(RelBenchmark)] == ["prefix_pos", "prefix_neg"]
+
+
+def test_side_rows_add_in_tag_order():
+    # As relevance.rel_total: ten plain additions of 0.1 round to just below
+    # 1.0, where the compensated float sum of Python 3.12+ gives exactly 1.0.
+    ((rel, *_),) = solvers._side_rows(range(10), (0.1,) * 10, (1,) * 10, 10, 0)
+    assert repr(rel) == "0.9999999999999999"
 
 
 class TestExactICAgainstReference:

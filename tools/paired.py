@@ -1,29 +1,34 @@
-"""Replay item-requests through two tagselect source trees in one process.
+"""Replay a benchmark workload through two tagselect source trees in one process.
 
 Each tree is loaded under its own module name, so the two share no state,
-and each builds its own item pool.  Every request runs through both
+and each builds its own instances.  Every operation runs through both
 packages in turn, alternating which side runs it first, so that drift in
 the machine's speed reaches both sides alike.  The collector runs between
-chunks of requests and is paused inside them, so that a collection pause
+chunks of operations and is paused inside them, so that a collection pause
 is charged to neither side.
 
-For each seed it prints the requests whose answers differ (sorted ids,
-objective, feasibility and the repr of the relevance total, or the error's
-type and message), each latency class's p50 and p90 time ratio, change
-over parent, and after a warm replay the number of pool items whose
+By default it replays item-requests.  For each seed it prints the requests
+whose answers differ (sorted ids, objective, feasibility and the repr of
+the relevance total, or the error's type and message), each latency
+class's p50 and p90 time ratio, change over parent, with a 95% bootstrap
+interval, and after a warm replay the number of pool items whose
 ``Instance.grown`` differs from the parent's.  It exits 1 on any answer
 mismatch.  Run from the repository root, with ``../parent/src`` a second
 checkout's source tree:
 
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 60000
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 20000 --cold
+    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --sweep
 
 A warm replay times the requests after the first third, when most
 requests ask for an item that earlier requests warmed.  A cold
 replay gives each request a fresh copy of its item
-(``dataclasses.replace``) and times every request.  ``--parent src``
-against the default ``--change`` is a control: it pairs a tree with
-itself.
+(``dataclasses.replace``) and times every request.  ``--sweep`` replays
+oracle-sweep instead: each operation is one ``bench.run_sweep(jobs=1)``
+of one solver family over the (k, alpha, beta) grid on one of the
+workload's 16 fixed instances, and the rows of the two sides must agree in
+every field but ``wall_time``.  ``--parent src`` against the default
+``--change`` is a control: it pairs a tree with itself.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib
 import importlib.util
 import statistics
 import sys
@@ -49,9 +55,23 @@ ALPHAS = (0.2, 0.4, 0.5, 0.6, 0.8)
 BETAS = (0.3, 0.6)
 STREAM_CHUNK = 4096
 
+# The operations of perfbench/workloads.py's OracleSweep, mirrored.
+SWEEP_SET_SEED = 20160220
+SWEEP_SIZE = 16
+SWEEP_ATTRS = 24
+SWEEP_SIDE = 8
+SWEEP_K = (2, 4, 6)
+SWEEP_ALPHAS = (0.3, 0.5, 0.7)
+SWEEP_BETAS = (0.3, 0.7)
+SWEEP_FAMILIES = {"ic": ("E_IC", "BNB_IC", "A_IC"), "dc": ("E_DC", "BNB_DC", "A_DC")}
+
 # Requests between two collections.
 CHUNK = 2000
 SHOWN_MISMATCHES = 5
+QUANTILES = (0.5, 0.9)
+# Resamples of each 95% bootstrap interval, and their fixed seed.
+BOOTSTRAP = 1000
+BOOTSTRAP_SEED = 2016
 
 
 def load(name: str, src: Path):
@@ -141,14 +161,44 @@ def run_chunk(sides, pools, chunk: list[tuple], cold: bool) -> list[tuple[list, 
     return [([answer(r) for r in results[s]], seconds[s]) for s in (0, 1)]
 
 
-def quantile(values: list[float], p: float) -> float:
-    ordered = sorted(values)
-    return ordered[int(p * (len(ordered) - 1))]
+def ratios(parent: list[float], change: list[float], qs, seed: int) -> dict:
+    """Each quantile q in ``qs``: the ratio of ``change``'s q-quantile to
+    ``parent``'s, with a 95% bootstrap interval, as ``q: (ratio, low,
+    high)``.  ``parent[j]`` and ``change[j]`` timed the same operation, so
+    each resample draws operations, both sides' times together; the
+    quantile is the lower order statistic, ``sorted(times)[int(q * (n -
+    1))]``."""
+    a, b = np.asarray(parent), np.asarray(change)
+
+    def ratio(index):
+        return np.quantile(b[index], qs, axis=-1, method="lower") / np.quantile(
+            a[index], qs, axis=-1, method="lower"
+        )
+
+    point = ratio(np.arange(len(a)))
+    rng = np.random.default_rng([BOOTSTRAP_SEED, seed])
+    # 100 resamples at a time bounds the index array's memory.
+    drawn = np.concatenate(
+        [ratio(rng.integers(0, len(a), size=(100, len(a)))) for _ in range(BOOTSTRAP // 100)],
+        axis=1,
+    )
+    low, high = np.quantile(drawn, (0.025, 0.975), axis=1)
+    return {q: (point[i], low[i], high[i]) for i, q in enumerate(qs)}
+
+
+def show(label: str, found: dict) -> str:
+    """``found``'s ratios, as :func:`ratios` gives them, keyed by (class,
+    quantile)."""
+    return label + ", ".join(
+        f"{cls} p{round(q * 100)} {r:.3f} [{low:.3f}, {high:.3f}]"
+        for (cls, q), (r, low, high) in found.items()
+    )
 
 
 def replay(sides, seed: int, n: int, warmup: int, cold: bool) -> tuple[int, dict]:
     """Replay seed's first ``n`` requests through both sides; return the
-    answer mismatches and each (class, quantile)'s time ratio."""
+    answer mismatches and each (class, quantile)'s time ratio and its
+    interval."""
     pools = [build_pool(ts) for ts in sides]
     ops = requests(seed, n)
     mismatches = 0
@@ -165,21 +215,87 @@ def replay(sides, seed: int, n: int, warmup: int, cold: bool) -> tuple[int, dict
             if start + j >= warmup:
                 for s in (0, 1):
                     times[s][op[0]].append(out[s][1][j])
-    ratios = {
-        (cls, p): quantile(times[1][cls], p) / quantile(times[0][cls], p)
+    found = {
+        (cls, q): interval
         for cls in ("ic", "dc")
-        for p in (0.5, 0.9)
+        for q, interval in ratios(times[0][cls], times[1][cls], QUANTILES, seed).items()
     }
     mode = "cold" if cold else "warm"
     print(f"seed {seed} {mode}: {n} requests, {mismatches} answer mismatches")
     if not cold:
         differ = sum(old.grown != new.grown for old, new in zip(*pools))
         print(f"  grown differs from the parent's on {differ} of {len(pools[0])} items")
-    print(
-        f"  change/parent over requests {warmup + 1}-{n}: "
-        + ", ".join(f"{cls} p{round(p * 100)} {r:.3f}" for (cls, p), r in ratios.items())
-    )
-    return mismatches, ratios
+    print(show(f"  change/parent over requests {warmup + 1}-{n}: ", found))
+    return mismatches, found
+
+
+def sweep_instances(ts) -> list:
+    """OracleSweep's fixed instances, built by the package ``ts``."""
+    return [
+        ts.datagen.random_instance(
+            seed=[SWEEP_SET_SEED, i], num_attrs=SWEEP_ATTRS, n_pos=SWEEP_SIDE,
+            n_neg=SWEEP_SIDE, item_id=f"sweep-{i:02d}",
+        )
+        for i in range(SWEEP_SIZE)
+    ]
+
+
+def sweep_ops(seed: int, n: int) -> list[tuple[str, int]]:
+    """The first ``n`` operations of OracleSweep's stream for ``seed``, each
+    ``(class, instance index)``."""
+    start = seed % SWEEP_SIZE
+    ops = []
+    while len(ops) < n:
+        for j in range(SWEEP_SIZE):
+            ops += [("ic", (start + j) % SWEEP_SIZE), ("dc", (start + j) % SWEEP_SIZE)]
+    return ops[:n]
+
+
+def sweep(sides, seed: int, n: int) -> tuple[int, dict]:
+    """Run seed's first ``n`` oracle-sweep operations through both sides, as
+    OracleSweep times one: ``run_sweep`` and ``summarize``.  Return the
+    operations whose rows differ and each class's median time ratio and
+    its interval."""
+    pools = [sweep_instances(ts) for ts in sides]
+    # Each package imports its bench module only when a sweep runs.
+    benches = [importlib.import_module(f"{ts.__name__}.bench") for ts in sides]
+    mismatches = 0
+    times: list[dict] = [{"ic": [], "dc": []} for _ in sides]
+    for j, (cls, index) in enumerate(sweep_ops(seed, n)):
+        rows: list = [None, None]
+        gc.collect()
+        gc.disable()
+        try:
+            first = j // 2 % 2
+            for s in (first, 1 - first):
+                bench = benches[s]
+                spec = bench.SweepSpec(
+                    algorithms=tuple(sides[s].Algorithm[name] for name in SWEEP_FAMILIES[cls]),
+                    k_values=SWEEP_K, alpha_values=SWEEP_ALPHAS, beta_values=SWEEP_BETAS,
+                    instances=(pools[s][index],), seed=seed,
+                )
+                t0 = perf_counter()
+                result = bench.run_sweep(spec, jobs=1)
+                bench.summarize(result)
+                times[s][cls].append(perf_counter() - t0)
+                rows[s] = [
+                    tuple(getattr(row, f.name) for f in dataclasses.fields(row)
+                          if f.name != "wall_time")
+                    for row in result
+                ]
+        finally:
+            gc.enable()
+        if rows[0] != rows[1]:
+            mismatches += 1
+            if mismatches <= SHOWN_MISMATCHES:
+                print(f"  operation {j + 1} ({cls}, instance {index}): rows differ")
+    found = {
+        (cls, 0.5): ratios(times[0][cls], times[1][cls], (0.5,), seed)[0.5]
+        for cls in ("ic", "dc")
+    }
+    print(f"seed {seed} sweep: {n} operations, {mismatches} with rows that differ")
+    print(show("  change/parent: ", found))
+    return mismatches, found
 
 
 def main(argv=None) -> int:
@@ -195,11 +311,18 @@ def main(argv=None) -> int:
         "--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[1, 2, 3],
         help="comma-separated stream seeds (default 1,2,3)",
     )
-    parser.add_argument("--ops", type=int, default=60000, help="requests per seed")
-    parser.add_argument("--cold", action="store_true", help="a fresh item copy per request")
+    parser.add_argument(
+        "--ops", type=int,
+        help="requests per seed (default 60000), or with --sweep operations (default 320)",
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--cold", action="store_true", help="a fresh item copy per request")
+    mode.add_argument("--sweep", action="store_true", help="replay oracle-sweep")
     args = parser.parse_args(argv)
+    if args.ops is None:
+        args.ops = 2 * SWEEP_SIZE * 10 if args.sweep else 60000
     if args.ops < 2:
-        parser.error("--ops must be at least 2, one request of each class")
+        parser.error("--ops must be at least 2, one operation of each class")
     for src in (args.parent, args.change):
         if not (src / "tagselect" / "__init__.py").is_file():
             parser.error(f"no tagselect package under {src}")
@@ -208,14 +331,17 @@ def main(argv=None) -> int:
     total = 0
     per_seed = []
     for seed in args.seeds:
-        mismatches, ratios = replay(sides, seed, args.ops, warmup, args.cold)
+        if args.sweep:
+            mismatches, found = sweep(sides, seed, args.ops)
+        else:
+            mismatches, found = replay(sides, seed, args.ops, warmup, args.cold)
         total += mismatches
-        per_seed.append(ratios)
+        per_seed.append(found)
     print(
         "median over seeds: "
         + ", ".join(
-            f"{cls} p{round(p * 100)} {statistics.median(r[(cls, p)] for r in per_seed):.3f}"
-            for cls, p in per_seed[0]
+            f"{cls} p{round(q * 100)} {statistics.median(r[(cls, q)][0] for r in per_seed):.3f}"
+            for cls, q in per_seed[0]
         )
     )
     print(f"answer mismatches in total: {total}")

@@ -120,19 +120,18 @@ class Instance:
     def negatives(self) -> tuple[Tag, ...]:
         return self.tags[self.n_pos :]
 
-    # The solve inputs below depend on the instance alone, so each is built
-    # on first use and kept.  So is what greedy requests grow: ``grown``
-    # holds the greedy routes' unfiltered paths (solvers._greedy) and the
-    # steps' relevance maxima (relevance.step_needs).  All live outside the
-    # dataclass fields: equality, hashing and repr ignore them.  The
-    # per-side columns are tuples of the tags' own floats and ints.
+    # The solve inputs below depend on the instance alone, so each is built on
+    # first use and kept, as is what greedy requests grow: ``grown`` holds the
+    # greedy paths of ids and running relevance (solvers._greedy) and the step
+    # maxima (relevance.step_needs).  Equality, hashing and repr ignore all of
+    # them.  The per-side columns are tuples of the tags' own floats and ints.
     grown: ClassVar[Mapping] = MappingProxyType({})
 
     def keep(self, key: tuple, value: tuple) -> None:
         """Keep ``value`` in :attr:`grown` under ``key``, unless the value
-        held is as long.  Every copy of a key's value is a prefix of the
-        same sequence, so two threads that grow it at once store equal
-        values."""
+        held is as long.  Every copy of a key's value, a path of (positive
+        id, negative id, running relevance, score) steps or step maxima, is
+        a prefix of one sequence, so threads that grow it store equal values."""
         with _KEEP_LOCK:
             grown = vars(self).setdefault("grown", {})
             if len(value) > len(grown.get(key, ())):
@@ -173,17 +172,17 @@ class Instance:
 
 
 def one_write_init(cls: type) -> type:
-    """Give the frozen dataclass ``cls`` an ``__init__`` that writes all its
-    fields into the instance's ``__dict__`` in one step, where the
-    dataclass's own sets each through ``object.__setattr__``.  It takes the
-    same arguments with the same defaults and runs nothing else, so ``cls``
-    must have no ``__post_init__`` and no field with a ``default_factory``."""
+    """Give the frozen dataclass ``cls`` an ``__init__`` that sets all its
+    fields as the ``__dict__`` in one ``object.__setattr__`` call, the
+    dataclass's own making one per field.  It takes the same arguments with
+    the same defaults and runs nothing else, so ``cls`` must have no
+    ``__post_init__`` and no field with a ``default_factory``."""
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     names = [f.name for f in fields(cls)]
     args = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
     body = ", ".join(f"{n!r}: {n}" for n in names)
-    namespace: dict = {"_defaults": defaults}
-    exec(f"def __init__(self, {args}):\n    self.__dict__.update({{{body}}})", namespace)
+    namespace: dict = {"_defaults": defaults, "_set": object.__setattr__}
+    exec(f"def __init__(self, {args}):\n    _set(self, '__dict__', {{{body}}})", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
@@ -290,7 +289,8 @@ def split_budget(k: int, alpha: float) -> tuple[int, int]:
     A guard epsilon is subtracted before the ceiling so float alphas like
     0.5 with even k land on the intended integer.
     """
-    k1 = min(max(math.ceil(alpha * k - EPS), 0), k)
+    k1 = math.ceil(alpha * k - EPS)
+    k1 = 0 if k1 < 0 else k if k1 > k else k1  # cheaper than calling min and max
     return k1, k - k1
 
 

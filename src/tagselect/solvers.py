@@ -200,30 +200,25 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
 # Greedy driver
 # ---------------------------------------------------------------------------
 
-# The pick of a side that a greedy step leaves alone.
-_IDLE = (None, 0.0, 0)
 
-
-def _greedy(
-    instance: Instance, params: Params, route: str, scan, fold, acc: list, score: int
-) -> Selection:
+def _greedy(instance: Instance, params: Params, route: str, scan, fold, start) -> Selection:
     """The greedy scheme of both routes, "a-ic" and "a-dc": steps under the
     per-step relevance filter until the quotas fill.  The selection is the
-    loop's running state: the list of ids taken, the relevance its filter
-    compared (the picks' relevances in pick order, as :func:`rel_total`
-    adds them) and the score of the last step, or ``score`` when no step
-    was taken.
+    loop's running state: the list of ids taken, the running relevance (the
+    picks' relevances in pick order, as :func:`rel_total` adds them) and
+    the score of the last step, or the start score when no step was taken.
 
     ``scan(instance, left, acc, taken, rel_so_far, threshold)`` is the
     route's step search, with ``left`` the quotas left, ``acc`` each side's
-    state and ``taken`` the set of ids taken; it keeps only candidates whose
-    relevance, added to ``rel_so_far``, reaches ``threshold``.  A step is
-    one pick per side, positives first, each ``(id, relevance, vector)``
-    with the tag's own vector, or :data:`_IDLE` for a side the step leaves
-    alone, and the step's score.  ``fold(state, vector)`` adds a pick to
-    its side's state.  An
-    a-dc step picks on each open side and an a-ic step on one; the filter
-    is the one at the size the step reaches (:func:`step_needs`).
+    state, ``taken`` the set of ids taken and ``rel_so_far`` the running
+    relevance; it keeps only candidates whose relevance, added to
+    ``rel_so_far``, reaches ``threshold``.  A step is ``(positive id,
+    negative id, running relevance after it, score)``, None for a side it
+    leaves alone: an a-dc step picks on each open side and an a-ic step on
+    one.  The filter is the one at the size the step reaches
+    (:func:`step_needs`).  ``start(instance, params)`` gives each side's
+    state before any pick, each side's vectors and the start score, and
+    ``fold(state, vector)`` adds a pick to its side's state.
 
     With no relevance filter a route's steps depend on the instance alone
     while both quotas are open, and after one side fills, on the steps
@@ -232,20 +227,21 @@ def _greedy(
     requests have grown it: under ``(route, 0, None)`` the steps with both
     quotas open, and under ``(route, s, side)`` the steps taken after
     ``side`` filled once ``s`` steps were taken; a request with a zero
-    quota starts on ``(route, 0, side)``.  A request takes its path's next
-    step while the step passes its filter: its candidates are a subset of
-    the path's that holds the step, under the same key, so it is the step
-    the scan would keep.  When a side fills it opens the path for that
-    side and step.  Past a path's end it grows the path by one step, a
-    scan at threshold -inf, and keeps it (:meth:`Instance.keep`).  From
-    the first step that fails, it scans.
+    quota starts on ``(route, 0, side)``.  A path is thus entered only at
+    the start or after the same steps, and a step's running relevance is
+    every request's that reaches it.  A request takes its path's next step
+    while the step's running relevance reaches its filter: its candidates
+    are a subset of the path's that holds the step, under the same key, so
+    it is the step the scan would keep.  When a side fills it opens the
+    path for that side and step.  Past a path's end it grows the path by
+    one step, a scan at threshold -inf, and keeps it
+    (:meth:`Instance.keep`).  From the first step that fails, it scans.
 
-    Only a scan reads ``left``, ``acc`` and ``taken``, so the loop keeps
-    just what its answer needs: the ids taken, each side's count, the
-    relevance and the score.  The steps taken since the last scan wait in
-    a list and are folded into ``acc`` just before the next scan, whether
-    it grows a path or runs under the filter; ``left`` and ``taken`` are
-    built then from the counts and the ids.
+    Only a scan reads ``acc``, ``left`` and ``taken``, so they are built
+    just before one: ``acc`` by ``start`` at the first scan, with the ids
+    taken since the last scan folded in, and ``left`` and ``taken`` from
+    the counts and the ids.  A request that reads every step from a path
+    builds none of them.
 
     A step with an empty candidate pool is a dead end: the partial
     selection is returned flagged infeasible instead of relaxing the
@@ -256,8 +252,9 @@ def _greedy(
     k, k1, k2 = params.k, params.k1, params.k2
     ids: list[int] = []
     n1 = n2 = 0  # positives and negatives taken
-    rel_so_far = 0.0
-    pending: list[tuple] = []  # steps taken but not yet folded into acc
+    rel = 0.0
+    acc = None  # each side's state, built at the first scan
+    folded = 0  # the ids folded into acc
     # A request with a zero quota moves to its full side's path at once.
     key = (route, 0, None)
     path = instance.grown.get(key, ())
@@ -273,43 +270,39 @@ def _greedy(
             held = len(path)
             step = 0
         threshold = needs[n1 + n2 + (pairs and n1 < k1 and n2 < k2)]
-        if on_path:
-            if len(path) == step:
-                _fold_pending(pending, fold, acc)
-                path += (scan(instance, [k1 - n1, k2 - n2], acc, set(ids), 0.0, -inf),)
-            best = path[step]
-            step += 1
-            on_path = rel_so_far + best[0][1] + best[1][1] >= threshold
-        if not on_path:
-            _fold_pending(pending, fold, acc)
-            best = scan(instance, [k1 - n1, k2 - n2], acc, set(ids), rel_so_far, threshold)
-            if best is None:
+        if on_path and step < len(path):
+            row = path[step]
+        else:
+            if acc is None:
+                acc, vectors, _ = start(instance, params)
+            for i in ids[folded:]:
+                side = i >= instance.n_pos  # 0 or 1, and the side's first id is side * n_pos
+                acc[side] = fold(acc[side], vectors[side][i - side * instance.n_pos])
+            folded = len(ids)
+            floor = -inf if on_path else threshold  # a growth scan filters nothing
+            row = scan(instance, [k1 - n1, k2 - n2], acc, set(ids), rel, floor)
+            if row is None:
                 break  # Dead end: the relevance filter emptied the pool mid-run.
-        pending.append(best)
-        (pos, pos_rel, _), (neg, neg_rel, _), score = best
+            if on_path:
+                path += (row,)
+        if on_path:
+            step += 1
+            if row[2] < threshold:
+                on_path = False
+                continue
+        pos, neg, rel, score = row
         if pos is not None:
             ids.append(pos)
             n1 += 1
         if neg is not None:
             ids.append(neg)
             n2 += 1
-        # One pick at a time, as the filter added them.
-        rel_so_far = rel_so_far + pos_rel + neg_rel
     if len(path) > held:
         instance.keep(key, path)
+    if not ids:  # Every step takes an id, so none was taken.
+        score = start(instance, params)[2]
     kind = "theta_dc" if pairs else "cov_ic"
-    return Selection(frozenset(ids), rel_so_far, kind, score, len(ids) == k)
-
-
-def _fold_pending(pending: list, fold, acc: list) -> None:
-    """Fold the picks of the steps in ``pending`` into each side's state
-    ``acc`` (:func:`_greedy`), and empty it."""
-    for (pos, _, pos_vector), (neg, _, neg_vector), _ in pending:
-        if pos is not None:
-            acc[0] = fold(acc[0], pos_vector)
-        if neg is not None:
-            acc[1] = fold(acc[1], neg_vector)
-    pending.clear()
+    return Selection(frozenset(ids), rel, kind, score, len(ids) == k)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +342,11 @@ def _ic_scan(
             # for only then.
             cov = (mask | tag_mask).bit_count()
             if (cov > best_cov or (cov == best_cov and rel > best_rel)) and i not in taken:
-                best, best_cov, best_rel, best_mask = i, cov, rel, tag_mask
+                best, best_cov, best_rel = i, cov, rel
     if best is None:
         return None
-    pick = (best, best_rel, best_mask)
-    return (_IDLE, pick, best_cov) if best >= instance.n_pos else (pick, _IDLE, best_cov)
+    pos, neg = (None, best) if best >= instance.n_pos else (best, None)
+    return pos, neg, rel_so_far + best_rel, best_cov
 
 
 def greedy_ic(
@@ -367,8 +360,13 @@ def greedy_ic(
     this route.
     """
     t0 = time.perf_counter()
-    selection = _greedy(instance, params, "a-ic", _ic_scan, operator.or_, [0, 0], 0)
+    selection = _greedy(instance, params, "a-ic", _ic_scan, operator.or_, _ic_start)
     return SolveReport(Algorithm.A_IC, selection, time.perf_counter() - t0)
+
+
+def _ic_start(instance: Instance, params: Params) -> tuple:
+    """a-ic's start (:func:`_greedy`): empty unions, the masks, score 0."""
+    return [0, 0], tuple(masks for _, _, masks in instance.side_columns), 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +392,14 @@ def _pair_scan(
     those passing ``threshold``; None when the filter passes none.
 
     A side with quota left offers each open candidate, and a full side one
-    idle option.  An option holds its relevance, the side's AND after it
-    and the complement of the side's OR after it, from the side's (OR, AND)
-    in ``acc``, taken once per option, not once per pair, and its pick."""
+    idle option, id None.  An option holds its relevance, the side's AND
+    and the complement of its OR after it, from the side's (OR, AND) in
+    ``acc``, taken once per option, not once per pair, and its id."""
     full = (1 << instance.m) - 1
     options = [
-        [
-            (r, a & v, full ^ (o | v), (i, r, v))
-            for i, r, v in zip(ids, rels, vectors)
-            if i not in taken
-        ]
+        [(r, a & v, full ^ (o | v), i) for i, r, v in zip(ids, rels, vectors) if i not in taken]
         if q
-        else [(0.0, a, full ^ o, _IDLE)]
+        else [(0.0, a, full ^ o, None)]
         for q, (o, a), (ids, rels, _), vectors in zip(
             left, acc, instance.side_columns, instance.dc_graph.aug
         )
@@ -413,7 +407,7 @@ def _pair_scan(
     # Options are visited in id order and replace the best only on a
     # smaller theta, or an equal theta and a larger relevance, so ties keep
     # the lowest ids.  m + 1 exceeds every theta.
-    best_pos = best_neg = None
+    best_pos = best_neg = best_after = None
     best_th, best_rel = instance.m + 1, 0.0
     for rx, pa, p_out, pos in options[0]:
         base = rel_so_far + rx
@@ -426,8 +420,8 @@ def _pair_scan(
                 continue
             rel = rx + ry
             if th < best_th or rel > best_rel:
-                best_pos, best_neg, best_th, best_rel = pos, neg, th, rel
-    return None if best_pos is None else (best_pos, best_neg, best_th)
+                best_pos, best_neg, best_after, best_th, best_rel = pos, neg, base + ry, th, rel
+    return None if best_after is None else (best_pos, best_neg, best_after, best_th)
 
 
 def _or_and_with(state: tuple[int, int], vector: int) -> tuple[int, int]:
@@ -463,7 +457,14 @@ def greedy_dc(
     class.
     """
     t0 = time.perf_counter()
-    pos_in, neg_in = instance.dc_graph.stand_ins
+    selection = _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, _dc_start)
+    return SolveReport(Algorithm.A_DC, selection, time.perf_counter() - t0)
+
+
+def _dc_start(instance: Instance, params: Params) -> tuple:
+    """a-dc's start (:func:`_greedy`): each side's (OR, AND), the vectors, the stand-ins' theta."""
+    graph = instance.dc_graph
+    pos_in, neg_in = graph.stand_ins
     full = (1 << instance.m) - 1
     # (0, full), the identities of | and & over the m values, marks an open
     # side with no member yet; a side with no quota holds its stand-in's
@@ -472,9 +473,7 @@ def greedy_dc(
         (0, full) if params.k1 else (pos_in, pos_in),
         (0, full) if params.k2 else (neg_in, neg_in),
     ]
-    theta = (pos_in ^ neg_in).bit_count()
-    selection = _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, acc, theta)
-    return SolveReport(Algorithm.A_DC, selection, time.perf_counter() - t0)
+    return acc, graph.aug, (pos_in ^ neg_in).bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from tagselect import (
     split_budget,
 )
 
+from tagselect.model import EPS
+
 from conftest import by_label, camera_rules
 
 P, N = Sentiment.POSITIVE, Sentiment.NEGATIVE
@@ -132,6 +134,17 @@ class TestParams:
                 assert k1_exact == math.ceil(alpha * k)
                 assert (k1_float, k2_float) == (k1_exact, k2_exact)
                 assert k1_float + k2_float == k
+
+    def test_split_clamps_as_min_and_max(self):
+        # split_budget clamps with comparisons; it is public, so alphas
+        # outside [0, 1] are checked too.
+        for k in range(1, 61):
+            alphas = {0, 1, -0.5, 1.5}
+            for i in range(k + 1):
+                alphas |= {i / k, i / k + 1e-12, i / k - 1e-12}
+            for alpha in alphas:
+                k1 = min(max(math.ceil(alpha * k - EPS), 0), k)
+                assert split_budget(k, alpha) == (k1, k - k1), (k, alpha)
 
     def test_make_params_on_camera(self, camera):
         params = make_params(2, 0.5, 0.5, camera)

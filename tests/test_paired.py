@@ -42,12 +42,19 @@ def intervals(stdout):
 
 
 def test_a_tree_paired_with_itself_answers_alike():
-    out = run_tool("--ops", "300")
-    assert "seed 1 warm: 300 requests, 0 answer mismatches" in out
-    assert "grown differs from the parent's on 0 of 1000 items" in out
+    out = run_tool("--seeds", "1,2,3", "--ops", "300")
+    for seed in (1, 2, 3):
+        assert f"seed {seed} warm: 300 requests, 0 answer mismatches" in out
+    assert out.count("grown differs from the parent's on 0 of 1000 items") == 3
     found = intervals(out)
-    assert len(found) == 4
+    assert len(found) == 12
     assert all(low <= ratio <= high for ratio, low, high in found), found
+    # The last line: each ratio's median over the seeds, with its min-max.
+    (line,) = [line for line in out.splitlines() if line.startswith("median over seeds")]
+    spread = re.findall(r"(?:ic|dc) p\d+ ([\d.]+) \(([\d.]+)-([\d.]+)\)", line)
+    assert len(spread) == 4, line
+    for median, low, high in spread:
+        assert float(low) <= float(median) <= float(high), line
 
 
 def test_a_tree_paired_with_itself_sweeps_alike():

@@ -285,8 +285,8 @@ class TestGreedyDC:
             camera.tags[i] for i in ranked[3][2:]
         ]
         report = greedy_dc(camera, params)
-        (i, rel_i, _), (j, rel_j, _), th = camera.grown["a-dc", 0, None][0]
-        assert (th, rel_i + rel_j, i, j) == ranked[0]
+        i, j, rel, th = camera.grown["a-dc", 0, None][0]
+        assert (th, rel, i, j) == ranked[0]
         assert set(ranked[3][2:]) < report.selection.tag_ids
         assert greedy_outcome(report) == reference_greedy_dc(camera, params)
         assert report.selection.feasible
@@ -664,8 +664,8 @@ class TestDCFirstPairs:
             assert ranked == ()
             return
         greedy_dc(inst, Params(k=2, alpha=0.5, beta=0.0, k1=1, k2=1))
-        (((i, rel_i, _), (j, rel_j, _), th),) = inst.grown["a-dc", 0, None]
-        assert (th, rel_i + rel_j, i, j) == ranked[0]
+        ((i, j, rel, th),) = inst.grown["a-dc", 0, None]
+        assert (th, rel, i, j) == ranked[0]
 
 
 @st.composite
@@ -718,8 +718,8 @@ class TestGreedyPaths:
         # so each request scans from its first step and grows nothing more.
         assert greedy_outcome(greedy_ic(inst, params)) == reference_greedy_ic(inst, params)
         assert greedy_outcome(greedy_dc(inst, params)) == reference_greedy_dc(inst, params)
-        (((wide, _, _), _, _),) = both_open(inst, "a-ic")
-        (((pos, _, _), _, _),) = both_open(inst, "a-dc")
+        ((wide, _, _, _),) = both_open(inst, "a-ic")
+        ((pos, _, _, _),) = both_open(inst, "a-dc")
         assert inst.tags[wide].label == inst.tags[pos].label == "wide"
 
     # The transitions where a request's steps read from a path must be folded
@@ -784,6 +784,48 @@ class TestGreedyPaths:
         assert scans[0] == first_scan
         assert answer == reference(inst, params)
         assert answer == greedy_outcome(solve(rebuilt(inst), params))
+
+    @pytest.mark.parametrize("route", ["a-ic", "a-dc"])
+    def test_running_relevance_is_the_reported_relevance(self, route):
+        """At beta 0 a request on a fresh instance grows every row it
+        reads: the both-open path's, then one fill path's, entered after
+        as many steps, or at step 0 with a zero quota.  Those rows hold
+        the request's ids, and the last one its relevance, bit for bit."""
+        solve = {"a-ic": greedy_ic, "a-dc": greedy_dc}[route]
+        entered = set()
+        for seed in range(20):
+            inst = random_instance(seed=[518, seed], num_attrs=30, n_pos=6, n_neg=6)
+            for k1, k2 in ((3, 1), (1, 3), (2, 2), (4, 2), (0, 3), (3, 0), (1, 0)):
+                fresh = rebuilt(inst)
+                params = Params(k1 + k2, k1 / (k1 + k2), 0.0, k1, k2)
+                selection = solve(fresh, params).selection
+                paths = {key: path for key, path in fresh.grown.items() if key[0] == route}
+                rows = list(paths.pop((route, 0, None), ()))
+                assert len(paths) <= 1
+                for (_, s, side), fill in paths.items():
+                    assert s == len(rows)
+                    if not s:
+                        assert side == (1 if k1 else 0)
+                    entered.add("fill" if s else "zero quota")
+                    rows += fill
+                if not paths:
+                    entered.add("both open only")
+                ids = {i for pos, neg, _, _ in rows for i in (pos, neg) if i is not None}
+                assert ids == selection.tag_ids and selection.feasible
+                assert repr(rows[-1][2]) == repr(selection.rel_total)
+        # An a-ic step takes one side, so one side fills first.
+        both = {"both open only"} if route == "a-dc" else set()
+        assert entered == {"fill", "zero quota"} | both
+
+    def test_a_zero_budget_takes_no_step_and_reports_the_start_score(self):
+        # make_params refuses k = 0, but Params can be built directly.
+        inst = random_instance(seed=519, num_attrs=10, n_pos=3, n_neg=3)
+        params = Params(k=0, alpha=0.5, beta=0.0, k1=0, k2=0)
+        pos_in, neg_in = inst.dc_graph.stand_ins
+        assert greedy_outcome(greedy_ic(inst, params)) == ((), 0, True, 0.0)
+        assert greedy_outcome(greedy_dc(inst, params)) == (
+            (), (pos_in ^ neg_in).bit_count(), True, 0.0
+        )
 
     def test_a_shorter_path_never_replaces_a_longer_one(self):
         inst = random_instance(seed=515, num_attrs=14, n_pos=4, n_neg=4)
@@ -874,8 +916,9 @@ class TestGreedyPaths:
         """Paths are kept under (route, steps taken, full side), both-open
         paths with side None and zero quotas starting on their full side's
         path at step 0; step maxima under ("stepwise", k1, k2).  Both
-        routes' steps have one shape: a pick per side, positives first,
-        each (id, relevance, vector) or the shared idle pick, and the
+        routes' steps have one shape: the positive and the negative id
+        taken, each None for a side left alone, the running relevance
+        after the step, a float that never decreases along a path, and the
         step's score."""
         inst = random_instance(seed=[517], num_attrs=30, n_pos=8, n_neg=8)
         quotas = ((3, 1), (1, 3), (0, 3), (3, 0), (2, 2), (0, 1), (4, 0))
@@ -897,19 +940,15 @@ class TestGreedyPaths:
             else:
                 assert route in ("a-ic", "a-dc") and value
                 assert (s, side) == (0, None) or (side in (0, 1) and s >= 0), (route, s, side)
-                for pos, neg, score in value:
+                before = 0.0
+                for pos, neg, rel, score in value:
                     assert type(score) is int
-                    for on_side, pick in enumerate((pos, neg)):
-                        i, rel, vector = pick
-                        if i is None:
-                            assert pick is solvers._IDLE
-                            continue
-                        tag = inst.tags[i]
-                        assert tag.is_positive == (on_side == 0) and rel == tag.relevance
-                        assert vector == (
-                            tag.mask if route == "a-ic" else inst.dc_graph.aug_mask(tag)
-                        )
-                    picks = [pick for pick in (pos, neg) if pick is not solvers._IDLE]
+                    assert type(rel) is float and rel >= before
+                    before = rel
+                    for on_side, i in enumerate((pos, neg)):
+                        if i is not None:
+                            assert inst.tags[i].is_positive == (on_side == 0)
+                    picks = [i for i in (pos, neg) if i is not None]
                     assert len(picks) == 1 if route == "a-ic" else picks
         for route in ("a-ic", "a-dc"):
             assert {(route, 0, None), (route, 0, 0), (route, 0, 1)} <= inst.grown.keys()

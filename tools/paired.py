@@ -12,9 +12,13 @@ whose answers differ (sorted ids, objective, feasibility and the repr of
 the relevance total, or the error's type and message), each latency
 class's p50 and p90 time ratio, change over parent, with a 95% bootstrap
 interval, and after a warm replay the number of pool items whose
-``Instance.grown`` differs from the parent's.  It exits 1 on any answer
-mismatch.  Run from the repository root, with ``../parent/src`` a second
-checkout's source tree:
+``Instance.grown`` differs from the parent's.  Last it prints each ratio's
+median over the seeds and its range, min to max.  A bootstrap interval
+says how well one run pins its ratio, not where a second run lands: it
+resamples that run's operations, while the machine's drift between runs
+moves the ratio as well, so the range over seeds is the spread to cite
+next to it.  It exits 1 on any answer mismatch.  Run from the repository
+root, with ``../parent/src`` a second checkout's source tree:
 
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 60000
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 20000 --cold
@@ -337,13 +341,14 @@ def main(argv=None) -> int:
             mismatches, found = replay(sides, seed, args.ops, warmup, args.cold)
         total += mismatches
         per_seed.append(found)
-    print(
-        "median over seeds: "
-        + ", ".join(
-            f"{cls} p{round(q * 100)} {statistics.median(r[(cls, q)][0] for r in per_seed):.3f}"
-            for cls, q in per_seed[0]
+    parts = []
+    for cls, q in per_seed[0]:
+        seen = [r[(cls, q)][0] for r in per_seed]
+        parts.append(
+            f"{cls} p{round(q * 100)} {statistics.median(seen):.3f}"
+            f" ({min(seen):.3f}-{max(seen):.3f})"
         )
-    )
+    print("median over seeds (min-max): " + ", ".join(parts))
     print(f"answer mismatches in total: {total}")
     return 1 if total else 0
 

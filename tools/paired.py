@@ -1,38 +1,44 @@
 """Replay a benchmark workload through two tagselect source trees in one process.
 
-Each tree is loaded under its own module name, so the two share no state,
-and each builds its own instances.  Every operation runs through both
-packages in turn, alternating which side runs it first, so that drift in
-the machine's speed reaches both sides alike.  The collector runs between
+This repository's perfbench/workloads.py is loaded once per tree, under its
+own module name, with ``tagselect`` bound to that tree's package, so the two
+sides share no state and each runs the benchmark's own set-up, operation
+stream and ``Workload.timed`` call.  Every operation runs through both
+sides in turn, alternating which side runs it first, so that drift in the
+machine's speed reaches both sides alike.  The collector runs between
 chunks of operations and is paused inside them, so that a collection pause
 is charged to neither side.
 
-By default it replays item-requests.  For each seed it prints the requests
-whose answers differ (sorted ids, objective, feasibility and the repr of
-the relevance total, or the error's type and message), each latency
-class's p50 and p90 time ratio, change over parent, with a 95% bootstrap
-interval, and after a warm replay the number of pool items whose
-``Instance.grown`` differs from the parent's.  Last it prints each ratio's
-median over the seeds and its range, min to max.  A bootstrap interval
-says how well one run pins its ratio, not where a second run lands: it
-resamples that run's operations, while the machine's drift between runs
-moves the ratio as well, so the range over seeds is the spread to cite
-next to it.  It exits 1 on any answer mismatch.  Run from the repository
-root, with ``../parent/src`` a second checkout's source tree:
+For each seed it prints the operations whose answers differ, each latency
+class's p50 and tail time ratio (the tail the benchmark reports for the
+workload), change over parent, with a 95% bootstrap interval, and after a
+warm replay of a workload with an item pool the number of items whose
+``Instance.grown`` differs from the parent's.  Answers are compared as
+follows: a solve by sorted ids, objective, feasibility and the repr of the
+relevance total, or the error's type and message; a sweep by every row
+field but ``wall_time``; a process by its exit code and its standard output
+without the ``time = `` line.  Last it prints each ratio's median over the
+seeds and its range, min to max.  A bootstrap interval says how well one
+run pins its ratio, not where a second run lands: it resamples that run's
+operations, while the machine's drift between runs moves the ratio as well,
+so the range over seeds is the spread to cite next to it.  It exits 1 on
+any answer mismatch.  Run from the repository root, with ``../parent/src``
+a second checkout's source tree:
 
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 60000
     python tools/paired.py --parent ../parent/src --seeds 1,2,3 --ops 20000 --cold
-    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --sweep
+    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --workload oracle-sweep
+    python tools/paired.py --parent ../parent/src --seeds 1,2,3 --workload exact-scale
+    python tools/paired.py --parent ../parent/src --seeds 1,2 --workload cli-cold
 
-A warm replay times the requests after the first third, when most
-requests ask for an item that earlier requests warmed.  A cold
-replay gives each request a fresh copy of its item
-(``dataclasses.replace``) and times every request.  ``--sweep`` replays
-oracle-sweep instead: each operation is one ``bench.run_sweep(jobs=1)``
-of one solver family over the (k, alpha, beta) grid on one of the
-workload's 16 fixed instances, and the rows of the two sides must agree in
-every field but ``wall_time``.  ``--parent src`` against the default
-``--change`` is a control: it pairs a tree with itself.
+Each side's workload root is its tree's parent directory, so cli-cold's
+child processes run that tree and its rules file is written under the
+root's ``perfbench/.work``.  The first third of the operations is not timed,
+so that most timed operations find what earlier ones warmed.  ``--cold``
+replays item-requests giving each request a fresh copy of its item
+(``dataclasses.replace``), made before the timer starts, and times every
+request.  ``--parent src`` against the default ``--change`` is a control: it
+pairs a tree with itself.
 """
 
 from __future__ import annotations
@@ -42,127 +48,77 @@ import dataclasses
 import gc
 import importlib
 import importlib.util
+import itertools
+import pkgutil
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
-# The request stream of perfbench/workloads.py's ItemRequests, mirrored.
-NUM_ITEMS = 20000
-GROUP_PROBS = (0.9, 0.5, 0.3, 0.1)
-CATALOGUE_SEED = 1602
-POOL = 1000
-ZIPF_S = 0.6
-ALPHAS = (0.2, 0.4, 0.5, 0.6, 0.8)
-BETAS = (0.3, 0.6)
-STREAM_CHUNK = 4096
-
-# The operations of perfbench/workloads.py's OracleSweep, mirrored.
-SWEEP_SET_SEED = 20160220
-SWEEP_SIZE = 16
-SWEEP_ATTRS = 24
-SWEEP_SIDE = 8
-SWEEP_K = (2, 4, 6)
-SWEEP_ALPHAS = (0.3, 0.5, 0.7)
-SWEEP_BETAS = (0.3, 0.7)
-SWEEP_FAMILIES = {"ic": ("E_IC", "BNB_IC", "A_IC"), "dc": ("E_DC", "BNB_DC", "A_DC")}
-
-# Requests between two collections.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WARM_OPS = 60000  # item-requests' default; other workloads replay 10 passes
+# Operations between two collections.
 CHUNK = 2000
 SHOWN_MISMATCHES = 5
-QUANTILES = (0.5, 0.9)
+SHOWN_CHARS = 300
 # Resamples of each 95% bootstrap interval, and their fixed seed.
 BOOTSTRAP = 1000
 BOOTSTRAP_SEED = 2016
 
 
 def load(name: str, src: Path):
-    """The package in ``src / "tagselect"``, imported as ``name``."""
+    """perfbench's workloads module, bound to the package in ``src / "tagselect"``.
+
+    The package is imported as ``name``, each of its modules as
+    ``name.<module>``, so that its imports at call time stay in ``src``.
+    While workloads.py loads, as ``name_workloads``, ``tagselect`` and its
+    modules in ``sys.modules`` are that package's; the entries held before
+    are restored afterwards."""
     init = src / "tagselect" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
     )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    bound = {"tagselect": package}
+    for info in pkgutil.iter_modules(package.__path__):
+        bound[f"tagselect.{info.name}"] = importlib.import_module(f"{name}.{info.name}")
+    held = {
+        key: sys.modules.pop(key)
+        for key in list(sys.modules)
+        if key == "tagselect" or key.startswith("tagselect.")
+    }
+    sys.modules.update(bound)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"{name}_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for key in bound:
+            del sys.modules[key]
+        sys.modules.update(held)
+    return workloads
 
 
-def build_pool(ts) -> list:
-    """ItemRequests' pool of item instances, built by the package ``ts``."""
-    datagen = ts.datagen
-    config = datagen.SynthConfig(
-        num_items=NUM_ITEMS, group_probs=GROUP_PROBS, seed=CATALOGUE_SEED
-    )
-    matrix = datagen.gen_matrix(config)
-    rules = datagen.extract_rules(matrix)
-    pool = []
-    for row in np.random.default_rng([CATALOGUE_SEED, 1]).permutation(NUM_ITEMS):
-        if len(pool) == POOL:
-            break
-        try:
-            pool.append(datagen.sample_instance(matrix, rules, int(row)))
-        except ts.EmptyInstance:
-            continue
-    return pool
-
-
-def requests(seed: int, n: int) -> list[tuple]:
-    """The first ``n`` requests of ItemRequests' stream for ``seed``, each
-    ``(class, item, k, alpha, beta)``."""
-    rng = np.random.default_rng([seed, 2])
-    weights = 1.0 / np.arange(1, POOL + 1) ** ZIPF_S
-    weights /= weights.sum()
-    ops: list[tuple] = []
-    while len(ops) < n:
-        items = rng.choice(POOL, size=STREAM_CHUNK, p=weights)
-        ks = rng.integers(2, 9, size=STREAM_CHUNK)
-        alphas = rng.integers(0, len(ALPHAS), size=STREAM_CHUNK)
-        betas = rng.integers(0, len(BETAS), size=STREAM_CHUNK)
-        for j in range(STREAM_CHUNK):
-            cls = "ic" if len(ops) % 2 == 0 else "dc"
-            ops.append((cls, int(items[j]), int(ks[j]), ALPHAS[alphas[j]], BETAS[betas[j]]))
-    return ops[:n]
-
-
-def answer(result) -> tuple:
+def answer(result):
+    """What of one operation's result both sides must agree on."""
     if isinstance(result, Exception):
         return type(result).__name__, str(result)
+    if isinstance(result, tuple):  # a process: exit code, stdout, stderr
+        code, out, _ = result
+        return code, [line for line in out.splitlines() if not line.startswith("time = ")]
+    if isinstance(result, list):  # a sweep's rows
+        return [
+            tuple(getattr(row, f.name) for f in dataclasses.fields(row) if f.name != "wall_time")
+            for row in result
+        ]
     sel = result.selection
     return sel.sorted_ids(), sel.objective_value, sel.feasible, repr(sel.rel_total)
-
-
-def run_chunk(sides, pools, chunk: list[tuple], cold: bool) -> list[tuple[list, list]]:
-    """Each side's answers and seconds for the requests of ``chunk``, timed
-    as ItemRequests times one: ``make_params`` and the greedy route.  The
-    two sides take each request in turn."""
-    calls = [(ts.make_params, {"ic": ts.greedy_ic, "dc": ts.greedy_dc}) for ts in sides]
-    results: list[list] = [[], []]
-    seconds: list[list] = [[], []]
-    gc.collect()
-    gc.disable()
-    try:
-        for j, (cls, item, k, alpha, beta) in enumerate(chunk):
-            # Requests alternate ic and dc, so the first side switches every
-            # two requests: each class gets each side first equally often.
-            first = j // 2 % 2
-            for s in (first, 1 - first):
-                make_params, routes = calls[s]
-                instance = pools[s][item]
-                if cold:
-                    instance = dataclasses.replace(instance)
-                t0 = perf_counter()
-                try:
-                    result = routes[cls](instance, make_params(k, alpha, beta, instance))
-                except Exception as exc:  # an error is an answer: type and message
-                    result = exc
-                seconds[s].append(perf_counter() - t0)
-                results[s].append(result)
-    finally:
-        gc.enable()
-    return [([answer(r) for r in results[s]], seconds[s]) for s in (0, 1)]
 
 
 def ratios(parent: list[float], change: list[float], qs, seed: int) -> dict:
@@ -199,106 +155,59 @@ def show(label: str, found: dict) -> str:
     )
 
 
-def replay(sides, seed: int, n: int, warmup: int, cold: bool) -> tuple[int, dict]:
-    """Replay seed's first ``n`` requests through both sides; return the
-    answer mismatches and each (class, quantile)'s time ratio and its
-    interval."""
-    pools = [build_pool(ts) for ts in sides]
-    ops = requests(seed, n)
+def replay(sides, name: str, seed: int, n: int, cold: bool) -> tuple[int, dict]:
+    """Replay seed's first ``n`` operations of workload ``name`` through both
+    sides, each a (workloads module, root) pair; return the answer
+    mismatches and each (class, quantile)'s time ratio and its interval."""
+    runs = [module.WORKLOADS[name](root, seed, 1) for module, root in sides]
+    for run in runs:
+        run.setup()
+    streams = [list(itertools.islice(run.ops(), n)) for run in runs]
+    originals = [list(run.pool) for run in runs] if cold else None
+    warmup = 0 if cold else n // 3
+    times: list[dict] = [{"ic": [], "dc": []} for _ in runs]
     mismatches = 0
-    times = [{"ic": [], "dc": []} for _ in sides]
     for start in range(0, n, CHUNK):
-        chunk = ops[start : start + CHUNK]
-        out = run_chunk(sides, pools, chunk, cold)
-        (a, _), (b, _) = out
-        for j, op in enumerate(chunk):
-            if a[j] != b[j]:
-                mismatches += 1
-                if mismatches <= SHOWN_MISMATCHES:
-                    print(f"  request {start + j + 1} {op}: parent {a[j]}, change {b[j]}")
-            if start + j >= warmup:
-                for s in (0, 1):
-                    times[s][op[0]].append(out[s][1][j])
-    found = {
-        (cls, q): interval
-        for cls in ("ic", "dc")
-        for q, interval in ratios(times[0][cls], times[1][cls], QUANTILES, seed).items()
-    }
-    mode = "cold" if cold else "warm"
-    print(f"seed {seed} {mode}: {n} requests, {mismatches} answer mismatches")
-    if not cold:
-        differ = sum(old.grown != new.grown for old, new in zip(*pools))
-        print(f"  grown differs from the parent's on {differ} of {len(pools[0])} items")
-    print(show(f"  change/parent over requests {warmup + 1}-{n}: ", found))
-    return mismatches, found
-
-
-def sweep_instances(ts) -> list:
-    """OracleSweep's fixed instances, built by the package ``ts``."""
-    return [
-        ts.datagen.random_instance(
-            seed=[SWEEP_SET_SEED, i], num_attrs=SWEEP_ATTRS, n_pos=SWEEP_SIDE,
-            n_neg=SWEEP_SIDE, item_id=f"sweep-{i:02d}",
-        )
-        for i in range(SWEEP_SIZE)
-    ]
-
-
-def sweep_ops(seed: int, n: int) -> list[tuple[str, int]]:
-    """The first ``n`` operations of OracleSweep's stream for ``seed``, each
-    ``(class, instance index)``."""
-    start = seed % SWEEP_SIZE
-    ops = []
-    while len(ops) < n:
-        for j in range(SWEEP_SIZE):
-            ops += [("ic", (start + j) % SWEEP_SIZE), ("dc", (start + j) % SWEEP_SIZE)]
-    return ops[:n]
-
-
-def sweep(sides, seed: int, n: int) -> tuple[int, dict]:
-    """Run seed's first ``n`` oracle-sweep operations through both sides, as
-    OracleSweep times one: ``run_sweep`` and ``summarize``.  Return the
-    operations whose rows differ and each class's median time ratio and
-    its interval."""
-    pools = [sweep_instances(ts) for ts in sides]
-    # Each package imports its bench module only when a sweep runs.
-    benches = [importlib.import_module(f"{ts.__name__}.bench") for ts in sides]
-    mismatches = 0
-    times: list[dict] = [{"ic": [], "dc": []} for _ in sides]
-    for j, (cls, index) in enumerate(sweep_ops(seed, n)):
-        rows: list = [None, None]
         gc.collect()
         gc.disable()
         try:
-            first = j // 2 % 2
-            for s in (first, 1 - first):
-                bench = benches[s]
-                spec = bench.SweepSpec(
-                    algorithms=tuple(sides[s].Algorithm[name] for name in SWEEP_FAMILIES[cls]),
-                    k_values=SWEEP_K, alpha_values=SWEEP_ALPHAS, beta_values=SWEEP_BETAS,
-                    instances=(pools[s][index],), seed=seed,
-                )
-                t0 = perf_counter()
-                result = bench.run_sweep(spec, jobs=1)
-                bench.summarize(result)
-                times[s][cls].append(perf_counter() - t0)
-                rows[s] = [
-                    tuple(getattr(row, f.name) for f in dataclasses.fields(row)
-                          if f.name != "wall_time")
-                    for row in result
-                ]
+            for j in range(start, min(start + CHUNK, n)):
+                answers = [None, None]
+                # Operations alternate ic and dc, so the first side switches
+                # every two: each class gets each side first equally often.
+                first = j // 2 % 2
+                for s in (first, 1 - first):
+                    op = streams[s][j]
+                    if cold:
+                        runs[s].pool[op.key[0]] = dataclasses.replace(originals[s][op.key[0]])
+                    record = runs[s].timed(op)
+                    answers[s] = answer(record.result)
+                    if j >= warmup:
+                        times[s][op.cls].append(record.seconds)
+                if answers[0] != answers[1]:
+                    mismatches += 1
+                    if mismatches <= SHOWN_MISMATCHES:
+                        op = streams[0][j]
+                        print(
+                            f"  operation {j + 1} ({op.algo}, {op.key}): "
+                            f"parent {str(answers[0])[:SHOWN_CHARS]}, "
+                            f"change {str(answers[1])[:SHOWN_CHARS]}"
+                        )
         finally:
             gc.enable()
-        if rows[0] != rows[1]:
-            mismatches += 1
-            if mismatches <= SHOWN_MISMATCHES:
-                print(f"  operation {j + 1} ({cls}, instance {index}): rows differ")
+    quantiles = (0.5, runs[0].tail_pct / 100)
     found = {
-        (cls, 0.5): ratios(times[0][cls], times[1][cls], (0.5,), seed)[0.5]
+        (cls, q): interval
         for cls in ("ic", "dc")
+        for q, interval in ratios(times[0][cls], times[1][cls], quantiles, seed).items()
     }
-    print(f"seed {seed} sweep: {n} operations, {mismatches} with rows that differ")
-    print(show("  change/parent: ", found))
+    mode = "cold" if cold else "warm"
+    print(f"seed {seed} {name} {mode}: {n} operations, {mismatches} answer mismatches")
+    if not cold and hasattr(runs[0], "pool"):
+        old, new = (run.pool for run in runs)
+        differ = sum(a.grown != b.grown for a, b in zip(old, new))
+        print(f"  grown differs from the parent's on {differ} of {len(old)} items")
+    print(show(f"  change/parent over operations {warmup + 1}-{n}: ", found))
     return mismatches, found
 
 
@@ -316,29 +225,42 @@ def main(argv=None) -> int:
         help="comma-separated stream seeds (default 1,2,3)",
     )
     parser.add_argument(
-        "--ops", type=int,
-        help="requests per seed (default 60000), or with --sweep operations (default 320)",
+        "--workload", default="item-requests",
+        help="a workload of perfbench/workloads.py (default item-requests)",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--cold", action="store_true", help="a fresh item copy per request")
-    mode.add_argument("--sweep", action="store_true", help="replay oracle-sweep")
+    parser.add_argument(
+        "--ops", type=int,
+        help=f"operations per seed (default {WARM_OPS} for item-requests, "
+        "else 10 passes of the workload's mix)",
+    )
+    parser.add_argument(
+        "--cold", action="store_true", help="item-requests with a fresh item copy per request"
+    )
     args = parser.parse_args(argv)
-    if args.ops is None:
-        args.ops = 2 * SWEEP_SIZE * 10 if args.sweep else 60000
-    if args.ops < 2:
+    if args.cold and args.workload != "item-requests":
+        parser.error("--cold replays item-requests only")
+    if args.ops is not None and args.ops < 2:
         parser.error("--ops must be at least 2, one operation of each class")
     for src in (args.parent, args.change):
         if not (src / "tagselect" / "__init__.py").is_file():
             parser.error(f"no tagselect package under {src}")
-    warmup = 0 if args.cold else args.ops // 3
-    sides = (load("tagselect_parent", args.parent), load("tagselect_change", args.change))
+        # CliCold's children import <root>/src, and root is the tree's parent.
+        if args.workload == "cli-cold" and src.resolve().name != "src":
+            parser.error(f"cli-cold's processes import <parent>/src, so {src} must be named src")
+    sides = [
+        (load(f"tagselect_{side}", src), src.resolve().parent)
+        for side, src in (("parent", args.parent), ("change", args.change))
+    ]
+    known = sides[0][0].WORKLOADS
+    if args.workload not in known:
+        parser.error(f"--workload must be one of {', '.join(known)}")
+    if args.ops is None:
+        workload = known[args.workload](sides[0][1], 1, 1)
+        args.ops = WARM_OPS if args.workload == "item-requests" else 10 * workload.granularity
     total = 0
     per_seed = []
     for seed in args.seeds:
-        if args.sweep:
-            mismatches, found = sweep(sides, seed, args.ops)
-        else:
-            mismatches, found = replay(sides, seed, args.ops, warmup, args.cold)
+        mismatches, found = replay(sides, args.workload, seed, args.ops, args.cold)
         total += mismatches
         per_seed.append(found)
     parts = []

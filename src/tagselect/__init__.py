@@ -30,7 +30,6 @@ from .model import (
     Instance,
     Params,
     Rule,
-    Selection,
     Sentiment,
     Tag,
     build_instance,
@@ -65,7 +64,6 @@ __all__ = [
     "RelBenchmark",
     "Rule",
     "RulesFileError",
-    "Selection",
     "Sentiment",
     "SolveReport",
     "Tag",

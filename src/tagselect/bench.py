@@ -151,10 +151,9 @@ def materialize_instances(spec: SweepSpec) -> tuple[Instance, ...]:
 def _coverage_count(report: SolveReport, instance: Instance) -> int:
     """The answer's coverage: its objective value, or ``cov_dc`` of its
     selection where the objective is theta."""
-    selection = report.selection
-    if selection.objective_kind != "theta_dc":
-        return selection.objective_value
-    return cov_dc((instance.tags[i] for i in selection.tag_ids), instance)
+    if report.objective_kind != "theta_dc":
+        return report.objective_value
+    return cov_dc((instance.tags[i] for i in report.tag_ids), instance)
 
 
 def _solve_point(args) -> BenchRow:
@@ -177,7 +176,7 @@ def _solve_point(args) -> BenchRow:
     row.coverage_proportion = _coverage_count(report, instance) / denom if denom else 0.0
     row.rel_total = report.rel_total
     row.wall_time = report.wall_time
-    row.outcome = "ok" if report.selection.feasible else "dead_end"
+    row.outcome = "ok" if report.feasible else "dead_end"
     return row
 
 

@@ -30,14 +30,14 @@ def cmd_solve(args) -> int:
     instance = doc.build()
     params = make_params(args.k, args.alpha, args.beta, instance)
     report = SOLVERS[Algorithm(args.algorithm)](instance, params, exact_cap=args.exact_cap)
-    for tag_id in report.selection.sorted_ids():
+    for tag_id in report.sorted_ids():
         print(instance.tags[tag_id].annotated())
-    print(f"{report.selection.objective_kind} = {report.objective_value}")
+    print(f"{report.objective_kind} = {report.objective_value}")
     if report.covdc_value is not None:
         print(f"cov_dc = {report.covdc_value}")
     print(f"rel = {report.rel_total:.6g}")
     print(f"time = {report.wall_time:.6g} s")
-    if not report.selection.feasible:
+    if not report.feasible:
         print("dead end: relevance filter emptied the candidate pool", file=sys.stderr)
         return 1
     return 0

@@ -174,9 +174,11 @@ class Instance:
 def one_write_init(cls: type) -> type:
     """Give the frozen dataclass ``cls`` an ``__init__`` that sets all its
     fields as the ``__dict__`` in one ``object.__setattr__`` call, the
-    dataclass's own making one per field.  It takes the same arguments with
-    the same defaults and runs nothing else, so ``cls`` must have no
-    ``__post_init__`` and no field with a ``default_factory``."""
+    dataclass's own making one per field.  :class:`Params` and
+    :class:`solvers.SolveReport`, built once per request, use it.  It takes
+    the same arguments with the same defaults and runs nothing else, so
+    ``cls`` must have no ``__post_init__`` and no field with a
+    ``default_factory``."""
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     names = [f.name for f in fields(cls)]
     args = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
@@ -203,21 +205,6 @@ class Params:
     beta: float
     k1: int
     k2: int
-
-
-@one_write_init
-@dataclass(frozen=True)
-class Selection:
-    """A result set with its objective value and feasibility flag."""
-
-    tag_ids: frozenset[int]
-    rel_total: float
-    objective_kind: str  # "cov_ic" | "cov_dc" | "theta_dc"
-    objective_value: int
-    feasible: bool
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tag_ids))
 
 
 def _rule_sort_key(entry: tuple) -> tuple:

@@ -14,9 +14,9 @@ serves both too: each greedy route adds only its step search and its
 set-up.
 
 All six are called as ``solver(instance, params, exact_cap=...)`` and
-return a :class:`SolveReport`.  ``exact_cap`` limits enumeration only: the
-exact and branch-and-bound routes refuse larger vocabularies, and the
-greedy routes ignore it.  All solvers are deterministic.  The enumerators
+return one :class:`SolveReport` per answer.  ``exact_cap`` limits
+enumeration only: the exact and branch-and-bound routes refuse larger
+vocabularies, and the greedy routes ignore it.  All solvers are deterministic.  The enumerators
 and the greedy routes resolve ties by objective, then relevance, then lowest
 tag ids.  Branch-and-bound reaches the enumerator's objective, but it prunes
 every subtree that can at best tie its incumbent: of the optimal selections
@@ -39,7 +39,7 @@ from math import comb, inf
 from typing import Sequence
 
 from .errors import Infeasible, InstanceTooLarge
-from .model import EPS, Instance, Params, Selection, Tag, one_write_init
+from .model import EPS, Instance, Params, Tag, one_write_init
 from .relevance import prefix_sums, rel_need, rel_total, step_needs
 
 DEFAULT_EXACT_CAP = 30
@@ -57,28 +57,36 @@ class Algorithm(Enum):
 @one_write_init
 @dataclass(frozen=True)
 class SolveReport:
-    """What a solver returned.  Objective values and the relevance total are
-    read from the selections, which hold them once."""
+    """One solver's answer: the tag ids it selected, their relevance total,
+    the objective it reached and whether the quotas filled, with the
+    algorithm, its wall time and, for the exact routes, the nodes it
+    explored."""
 
     algorithm: Algorithm
-    selection: Selection
+    tag_ids: frozenset[int]
+    rel_total: float
+    objective_kind: str  # "cov_ic" | "cov_dc" | "theta_dc"
+    objective_value: int
+    feasible: bool
     wall_time: float
     nodes_explored: int | None = None
-    # The DC enumerator reports the theta optimum as its primary selection
-    # and carries the dependent-coverage optimum alongside.
-    covdc_selection: Selection | None = None
+    # The DC enumerator reports the theta optimum as its primary answer and
+    # carries the dependent-coverage optimum alongside, kind "cov_dc".
+    covdc_selection: SolveReport | None = None
 
     @property
-    def objective_value(self) -> int:
-        return self.selection.objective_value
-
-    @property
-    def rel_total(self) -> float:
-        return self.selection.rel_total
+    def selection(self) -> SolveReport:
+        """The record itself, for perfbench's workloads and ``tools/paired.py``,
+        which read answers as ``report.selection`` also on older packages,
+        where the answer was a record of its own."""
+        return self
 
     @property
     def covdc_value(self) -> int | None:
         return None if self.covdc_selection is None else self.covdc_selection.objective_value
+
+    def sorted_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.tag_ids))
 
 
 def _exact_setup(instance: Instance, params: Params, exact_cap: int) -> float:
@@ -101,9 +109,12 @@ def _reached(best, need: float):
     return best
 
 
-def _selection(tags: Sequence[Tag], kind: str, value: int) -> Selection:
-    """An exact route's answer, ``tags`` in id order (so its relevance sum is)."""
-    return Selection(frozenset(t.id for t in tags), rel_total(tags), kind, value, True)
+def _selection(algorithm, tags: Sequence[Tag], kind, value, t0, nodes, covdc=None):
+    """An exact route's answer, ``tags`` in id order (so its relevance sum
+    is), timed from ``t0``."""
+    ids = frozenset(t.id for t in tags)
+    elapsed = time.perf_counter() - t0
+    return SolveReport(algorithm, ids, rel_total(tags), kind, value, True, elapsed, nodes, covdc)
 
 
 # The most negative combinations the enumerator holds as a table; past it
@@ -145,8 +156,8 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
     the augmented vectors, an empty side entering as its stand-in
     (:attr:`DCGraph.stand_ins`), and returns two optima, each evaluated on
     its own: the theta minimum (:func:`theta_mask` inline, the primary
-    selection) and the maximum of ``cov_dc``, ``|OR_P & OR_N|``, each
-    side's OR holding its stand-in (carried in ``covdc_*``).  Each optimum
+    answer) and the maximum of ``cov_dc``, ``|OR_P & OR_N|``, each side's
+    OR holding its stand-in (carried in ``covdc_selection``).  Each optimum
     is replaced only on a strictly better objective, or an equal one and a
     larger relevance; enumeration is lexicographic in tag ids, so ties keep
     the smallest id set.
@@ -186,14 +197,14 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
                 cv = (po | no).bit_count()
             if cv >= cv_val and (cv > cv_val or rel > cv_rel):
                 cv_best, cv_val, cv_rel = pos + neg, cv, rel
-    covered = _selection(_reached(cv_best, need), "cov_dc" if dc else "cov_ic", cv_val)
-    return SolveReport(
-        algorithm=Algorithm.E_DC if dc else Algorithm.E_IC,
-        selection=_selection(th_best, "theta_dc", th_val) if dc else covered,
-        wall_time=time.perf_counter() - t0,
-        nodes_explored=comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2),
-        covdc_selection=covered if dc else None,
+    algorithm = Algorithm.E_DC if dc else Algorithm.E_IC
+    nodes = comb(instance.n_pos, params.k1) * comb(instance.n_neg, params.k2)
+    covered = _selection(
+        algorithm, _reached(cv_best, need), "cov_dc" if dc else "cov_ic", cv_val, t0, nodes
     )
+    if not dc:
+        return covered
+    return _selection(algorithm, th_best, "theta_dc", th_val, t0, nodes, covered)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +212,13 @@ def _enumerate(instance: Instance, params: Params, exact_cap: int, dc: bool) -> 
 # ---------------------------------------------------------------------------
 
 
-def _greedy(instance: Instance, params: Params, route: str, scan, fold, start) -> Selection:
+def _greedy(instance: Instance, params: Params, route: str, scan, fold, start) -> SolveReport:
     """The greedy scheme of both routes, "a-ic" and "a-dc": steps under the
-    per-step relevance filter until the quotas fill.  The selection is the
-    loop's running state: the list of ids taken, the running relevance (the
-    picks' relevances in pick order, as :func:`rel_total` adds them) and
-    the score of the last step, or the start score when no step was taken.
+    per-step relevance filter until the quotas fill.  The report is built
+    once, from the loop's running state: the list of ids taken, the running
+    relevance (the picks' relevances in pick order, as :func:`rel_total`
+    adds them) and the score of the last step, or the start score when no
+    step was taken.  Its wall time runs from the driver's start.
 
     ``scan(instance, left, acc, taken, rel_so_far, threshold)`` is the
     route's step search, with ``left`` the quotas left, ``acc`` each side's
@@ -247,6 +259,7 @@ def _greedy(instance: Instance, params: Params, route: str, scan, fold, start) -
     selection is returned flagged infeasible instead of relaxing the
     filter.
     """
+    t0 = time.perf_counter()
     needs = step_needs(instance, params)
     pairs = route == "a-dc"
     k, k1, k2 = params.k, params.k1, params.k2
@@ -301,8 +314,10 @@ def _greedy(instance: Instance, params: Params, route: str, scan, fold, start) -
         instance.keep(key, path)
     if not ids:  # Every step takes an id, so none was taken.
         score = start(instance, params)[2]
-    kind = "theta_dc" if pairs else "cov_ic"
-    return Selection(frozenset(ids), rel, kind, score, len(ids) == k)
+    return SolveReport(
+        Algorithm.A_DC if pairs else Algorithm.A_IC, frozenset(ids), rel,
+        "theta_dc" if pairs else "cov_ic", score, len(ids) == k, time.perf_counter() - t0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +374,7 @@ def greedy_ic(
     enumerator.  ``exact_cap`` limits enumeration only, so it never refuses
     this route.
     """
-    t0 = time.perf_counter()
-    selection = _greedy(instance, params, "a-ic", _ic_scan, operator.or_, _ic_start)
-    return SolveReport(Algorithm.A_IC, selection, time.perf_counter() - t0)
+    return _greedy(instance, params, "a-ic", _ic_scan, operator.or_, _ic_start)
 
 
 def _ic_start(instance: Instance, params: Params) -> tuple:
@@ -379,8 +392,8 @@ def exact_dc(
 ) -> SolveReport:
     """Enumerate quota-feasible subsets and return both optima: the
     theta-minimizing selection (primary, reported as the objective) and the
-    dependent-coverage-maximizing selection (carried in ``covdc_*``); see
-    :func:`_enumerate`."""
+    dependent-coverage-maximizing selection (carried in
+    ``covdc_selection``); see :func:`_enumerate`."""
     return _enumerate(instance, params, exact_cap, True)
 
 
@@ -456,9 +469,7 @@ def greedy_dc(
     ``tests/test_counterexamples.py`` pins one small case of each quota
     class.
     """
-    t0 = time.perf_counter()
-    selection = _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, _dc_start)
-    return SolveReport(Algorithm.A_DC, selection, time.perf_counter() - t0)
+    return _greedy(instance, params, "a-dc", _pair_scan, _or_and_with, _dc_start)
 
 
 def _dc_start(instance: Instance, params: Params) -> tuple:
@@ -591,11 +602,9 @@ def _bnb(instance: Instance, params: Params, exact_cap: int, dc: bool) -> SolveR
 
     taken = _reached(best_sel, need)
     chosen = sorted((t for i, t in enumerate(tags) if taken >> i & 1), key=lambda t: t.id)
-    return SolveReport(
-        algorithm=Algorithm.BNB_DC if dc else Algorithm.BNB_IC,
-        selection=_selection(chosen, "cov_dc" if dc else "cov_ic", best_val),
-        wall_time=time.perf_counter() - t0,
-        nodes_explored=nodes,
+    return _selection(
+        Algorithm.BNB_DC if dc else Algorithm.BNB_IC, chosen, "cov_dc" if dc else "cov_ic",
+        best_val, t0, nodes,
     )
 
 

@@ -13,10 +13,10 @@ from tagselect import (
     InfeasiblePolarity,
     Params,
     Rule,
-    Selection,
     Sentiment,
     SolveReport,
     build_instance,
+    exact_dc,
     make_params,
     split_budget,
 )
@@ -177,30 +177,28 @@ class TestParams:
 
 # One instance of each result record, its field names in declaration order,
 # and a value for each field that differs from the first instance's.
-_SELECTION = Selection(frozenset({0, 3}), 0.5, "cov_ic", 4, True)
+_COVDC = SolveReport(Algorithm.E_DC, frozenset({0, 3}), 0.5, "cov_dc", 4, True, 0.001, 9)
 RECORDS = {
     Params: (
         (4, 0.5, 0.3, 2, 2),
         ("k", "alpha", "beta", "k1", "k2"),
         (5, 0.6, 0.4, 3, 1),
     ),
-    Selection: (
-        (frozenset({0, 3}), 0.5, "cov_ic", 4, True),
-        ("tag_ids", "rel_total", "objective_kind", "objective_value", "feasible"),
-        (frozenset({1}), 0.25, "theta_dc", 2, False),
-    ),
     SolveReport: (
-        (Algorithm.A_IC, _SELECTION, 0.001, 7, _SELECTION),
-        ("algorithm", "selection", "wall_time", "nodes_explored", "covdc_selection"),
-        (Algorithm.E_DC, Selection(frozenset(), 0.0, "theta_dc", 1, False), 0.002, 8, None),
+        (Algorithm.E_DC, frozenset({1, 2}), 0.75, "theta_dc", 1, True, 0.001, 9, _COVDC),
+        (
+            "algorithm", "tag_ids", "rel_total", "objective_kind", "objective_value",
+            "feasible", "wall_time", "nodes_explored", "covdc_selection",
+        ),
+        (Algorithm.A_DC, frozenset(), 0.0, "cov_ic", 0, False, 0.002, 8, None),
     ),
 }
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 class TestRecordContract:
-    """Params, Selection and SolveReport are frozen dataclasses, whatever
-    their __init__ does."""
+    """Params and SolveReport are frozen dataclasses, whatever their
+    __init__ does."""
 
     def test_positional_and_keyword_construction(self, cls):
         values, names, _ = RECORDS[cls]
@@ -258,13 +256,24 @@ class TestRecordContract:
 
 
 def test_solve_report_defaults():
-    report = SolveReport(Algorithm.A_DC, _SELECTION, 0.5)
+    answer = (Algorithm.A_DC, frozenset({3, 0}), 0.5, "theta_dc", 4, True)
+    report = SolveReport(*answer, 0.5)
     assert report.nodes_explored is None and report.covdc_selection is None
-    assert report == SolveReport(Algorithm.A_DC, _SELECTION, 0.5, None, None)
-    assert report.objective_value == 4 and report.rel_total == 0.5 and report.covdc_value is None
+    assert report == SolveReport(*answer, 0.5, None, None)
+    assert report.covdc_value is None and report.sorted_ids() == (0, 3)
+    assert report.selection is report
     with pytest.raises(TypeError):
-        SolveReport(Algorithm.A_DC, _SELECTION)
+        SolveReport(*answer)
     with pytest.raises(TypeError):
         Params(4, 0.5, 0.3, 2)
     with pytest.raises(TypeError):
-        Selection(frozenset(), 0.0, "cov_ic", 0, True, extra=1)
+        SolveReport(*answer, 0.5, extra=1)
+
+
+def test_e_dc_carries_its_cov_dc_optimum_as_a_report(camera):
+    report = exact_dc(camera, make_params(3, 0.5, 0.3, camera))
+    covered = report.covdc_selection
+    assert type(covered) is SolveReport and covered.objective_kind == "cov_dc"
+    assert covered.objective_value == report.covdc_value
+    assert covered.algorithm is report.algorithm and covered.covdc_selection is None
+    assert report.objective_kind == "theta_dc"

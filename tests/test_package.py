@@ -153,7 +153,7 @@ def test_only_the_greedy_driver_follows_paths():
 
 
 def test_the_greedy_driver_answers_from_its_running_state():
-    # solvers._greedy builds its Selection from the ids it took and the
+    # solvers._greedy builds its report from the ids it took and the
     # relevance its filter compared, so it keeps no list of the picked tags
     # and makes no second pass over them.
     _, driver = solvers_and_greedy_driver()
@@ -162,4 +162,17 @@ def test_the_greedy_driver_answers_from_its_running_state():
         if (isinstance(node, ast.Attribute) and node.attr == "tags")
         or (isinstance(node, ast.Name) and node.id in ("_selection", "rel_total"))
     ]
+    assert found == []
+
+
+def test_one_record_per_answer():
+    # A solver's SolveReport holds the answer's fields itself, so no module
+    # reads an answer through ``.selection`` and none names a Selection.
+    found = []
+    for path in sorted(Path(tagselect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # A name, attribute, definition, import or string spelling it.
+            spelled = [getattr(node, field, None) for field in ("id", "attr", "name", "value")]
+            if "Selection" in spelled or (isinstance(node, ast.Attribute) and node.attr == "selection"):
+                found.append(f"{path.name}: {ast.unparse(node)}")
     assert found == []
